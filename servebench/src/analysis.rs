@@ -78,8 +78,10 @@ pub struct Properties {
     pub plan_selective_frac: f64,
     /// Prompt positions the prefix store served, per position looked up.
     pub prefix_hit_frac: f64,
-    /// Wall share of ticks that only decoded.
-    pub decode_tick_wall_frac: f64,
+    /// Share of the timed window's ticks that only decoded. A count, not a
+    /// wall share: the closed loop makes the same ticks on every run, so a
+    /// speed-up of one kind of tick cannot move it.
+    pub decode_tick_frac: f64,
 }
 
 /// Everything derived from one phase.
@@ -160,7 +162,7 @@ pub fn analyze(
     let mut tbt_ms = Vec::new();
     let mut queue_ms = Vec::new();
     let (mut hit_rate_sum, mut recalled_bytes, mut generated) = (0.0, 0u64, 0usize);
-    let mut completed = 0usize;
+    let mut timed_completed = 0usize;
     for r in &phase.requests {
         if let (true, Some(pos)) = (r.timed, r.admit_pos) {
             queue_ms.push(ms(all_ticks[pos].start_ns.saturating_sub(r.submit_ns)));
@@ -193,7 +195,7 @@ pub fn analyze(
         if !r.timed {
             continue;
         }
-        completed += 1;
+        timed_completed += 1;
         hit_rate_sum += m.cache_hit_rate;
         recalled_bytes += m.bytes_recalled.get();
         generated += m.tokens.len();
@@ -255,25 +257,20 @@ pub fn analyze(
     // Properties.
     let c = &phase.counts;
     let plan_calls = c.get(Counter::PlanCalls);
-    let (prefix_hits, prefix_lookups, evicted, inserted, shared) = match &phase.prefix {
+    let (prefix_hits, prefix_lookups, evicted) = match &phase.prefix {
         Some((a, b)) => (
             b.hit_tokens - a.hit_tokens,
             (b.hit_tokens + b.miss_tokens) - (a.hit_tokens + a.miss_tokens),
             b.evicted_nodes - a.evicted_nodes,
-            b.inserted_nodes - a.inserted_nodes,
-            b.shared_bytes.get(),
         ),
-        None => (0, 0, 0, 0, 0),
+        None => (0, 0, 0),
     };
-    let decode_only_ns: u64 = ticks
-        .iter()
-        .filter(|t| t.is_decode_only())
-        .map(TickRecord::ns)
-        .sum();
+    let decode_only = || ticks.iter().filter(|t| t.is_decode_only());
+    let decode_only_ns: u64 = decode_only().map(TickRecord::ns).sum();
     let properties = Properties {
         plan_selective_frac: ratio(c.get(Counter::PlanSelective) as f64, plan_calls as f64),
         prefix_hit_frac: ratio(prefix_hits as f64, prefix_lookups as f64),
-        decode_tick_wall_frac: ratio(decode_only_ns as f64, phase.wall_ns() as f64),
+        decode_tick_frac: ratio(decode_only().count() as f64, ticks.len() as f64),
     };
     failures.extend(workload.sides.violations(&properties, plan_calls));
     e2e.push(Metric::new(
@@ -305,24 +302,6 @@ pub fn analyze(
             c.get(Counter::Kmeans) as f64,
             None,
         ),
-        Metric::new(
-            "core.append_calls",
-            "count",
-            c.get(Counter::Appends) as f64,
-            None,
-        ),
-        Metric::new(
-            "core.chunk_observe_calls",
-            "count",
-            c.get(Counter::ChunkObserves) as f64,
-            None,
-        ),
-        Metric::new(
-            "core.adopted_prefill_states",
-            "count",
-            c.get(Counter::Adopted) as f64,
-            None,
-        ),
         Metric::new("sched.ticks", "count", ticks.len() as f64, None),
         Metric::new(
             "sched.decode_batch_mean",
@@ -337,19 +316,24 @@ pub fn analyze(
             Some(queue_ms.len()),
         ),
         Metric::new(
+            "sched.decode_tick_frac",
+            "frac",
+            properties.decode_tick_frac,
+            Some(ticks.len()),
+        ),
+        Metric::new(
             "sched.decode_tick_wall_frac",
             "frac",
-            properties.decode_tick_wall_frac,
+            ratio(decode_only_ns as f64, phase.wall_ns() as f64),
             Some(ticks.len()),
         ),
         Metric::new("sched.modeled_s", "s", phase.modeled_s, None),
         Metric::new("sched.wall_s", "s", wall_s, None),
-        Metric::new("sched.completed", "count", completed as f64, None),
         Metric::new(
             "kvcache.hit_rate",
             "frac",
-            ratio(hit_rate_sum, completed as f64),
-            Some(completed),
+            ratio(hit_rate_sum, timed_completed as f64),
+            Some(timed_completed),
         ),
         Metric::new(
             "kvcache.recalled_kib_per_token",
@@ -367,18 +351,6 @@ pub fn analyze(
             "kvcache.prefix_evicted_nodes",
             "count",
             evicted as f64,
-            None,
-        ),
-        Metric::new(
-            "kvcache.prefix_inserted_nodes",
-            "count",
-            inserted as f64,
-            None,
-        ),
-        Metric::new(
-            "kvcache.prefix_shared_mib",
-            "MiB",
-            shared as f64 / (1 << 20) as f64,
             None,
         ),
     ];
@@ -412,7 +384,7 @@ fn span_metrics(spans: &[Span], ticks: &[TickRecord], window: usize) -> Vec<Metr
     // Core spans grouped by parent tick, for self-time subtraction.
     let mut core: Vec<Vec<(u64, u64)>> = vec![Vec::new(); ticks.len()];
     let mut kmeans: Vec<Vec<(u64, u64)>> = vec![Vec::new(); ticks.len()];
-    for s in spans.iter().filter(|s| s.kind.is_core()) {
+    for s in spans {
         let Some(tick) = core.get_mut(s.tick as usize) else {
             continue;
         };
@@ -422,21 +394,28 @@ fn span_metrics(spans: &[Span], ticks: &[TickRecord], window: usize) -> Vec<Metr
         }
     }
     let (mut decode_ns, mut decode_self_ns, mut decode_tokens) = (0u64, 0u64, 0usize);
-    let (mut prefill_ns, mut prefill_tokens) = (0u64, 0usize);
-    let mut core_ns = 0u64;
     for (i, t) in ticks.iter().enumerate().skip(window) {
-        let covered = covered_ns(&mut core[i], t.start_ns, t.end_ns);
-        core_ns += covered;
         if t.is_decode_only() {
+            let covered = covered_ns(&mut core[i], t.start_ns, t.end_ns);
             decode_ns += t.ns();
             decode_self_ns += t.ns() - covered;
             decode_tokens += t.decode_tokens;
-        } else if t.is_prefill_only() {
-            prefill_ns += t.ns() - covered_ns(&mut kmeans[i], t.start_ns, t.end_ns);
+        }
+    }
+    // After the warm-up the clients are staggered, so prompt chunks nearly
+    // always share a tick with other requests' decodes. A prefill tick's
+    // prompt share is its time minus its k-means spans and minus its decode
+    // tokens at this run's decode-only cost per token.
+    let decode_ns_per_token = ratio(decode_ns as f64, decode_tokens as f64);
+    let (mut prefill_ns, mut prefill_tokens) = (0.0, 0usize);
+    for (i, t) in ticks.iter().enumerate().skip(window) {
+        if t.prefill_tokens > 0 {
+            let kmeans_ns = covered_ns(&mut kmeans[i], t.start_ns, t.end_ns);
+            let decode_ns = t.decode_tokens as f64 * decode_ns_per_token;
+            prefill_ns += ((t.ns() - kmeans_ns) as f64 - decode_ns).max(0.0);
             prefill_tokens += t.prefill_tokens;
         }
     }
-    let tick_ns: u64 = ticks[window..].iter().map(TickRecord::ns).sum();
     vec![
         p50("core.plan_us_p50", "us", durations(SpanKind::Plan, 1e3)),
         p50("core.kmeans_ms_p50", "ms", durations(SpanKind::Kmeans, 1e6)),
@@ -445,12 +424,6 @@ fn span_metrics(spans: &[Span], ticks: &[TickRecord], window: usize) -> Vec<Metr
             "core.chunk_observe_us_p50",
             "us",
             durations(SpanKind::ChunkObserve, 1e3),
-        ),
-        Metric::new(
-            "core.tick_wall_frac",
-            "frac",
-            ratio(core_ns as f64, tick_ns as f64),
-            None,
         ),
         Metric::new(
             "sched.decode_ms_per_token",
@@ -467,10 +440,9 @@ fn span_metrics(spans: &[Span], ticks: &[TickRecord], window: usize) -> Vec<Metr
         Metric::new(
             "sched.prefill_ms_per_token",
             "ms",
-            ratio(ms(prefill_ns), prefill_tokens as f64),
+            ratio(prefill_ns / 1e6, prefill_tokens as f64),
             Some(prefill_tokens),
         ),
-        Metric::new("trace.spans", "count", spans.len() as f64, None),
     ]
 }
 
@@ -484,6 +456,35 @@ mod tests {
         // [2, 35): (2,3) + (5,20) + (30,35) = 1 + 15 + 5.
         assert_eq!(covered_ns(&mut spans, 2, 35), 21);
         assert_eq!(covered_ns(&mut [], 0, 10), 0);
+    }
+
+    #[test]
+    fn prefill_time_excludes_kmeans_and_co_batched_decode() {
+        let tick = |start_ms: u64, end_ms: u64, prefill_tokens, decode_tokens| TickRecord {
+            start_ns: start_ms * 1_000_000,
+            end_ns: end_ms * 1_000_000,
+            clock_before: 0.0,
+            clock_after: 0.0,
+            prefill_tokens,
+            decode_tokens,
+        };
+        // Decode-only: 10 ms for 2 tokens. Mixed: 30 ms for 64 prompt
+        // tokens, 2 decode tokens and a 4 ms k-means span.
+        let ticks = vec![tick(0, 10, 0, 2), tick(10, 40, 64, 2)];
+        let spans = [Span {
+            kind: SpanKind::Kmeans,
+            start_ns: 20_000_000,
+            end_ns: 24_000_000,
+            tick: 1,
+            session: 0,
+        }];
+        let metrics = span_metrics(&spans, &ticks, 0);
+        let get = |name| metrics.iter().find(|m| m.name == name).unwrap();
+        assert_eq!(get("sched.decode_ms_per_token").value, 5.0);
+        // (30 - 4 - 2 × 5) ms over 64 tokens.
+        assert_eq!(get("sched.prefill_ms_per_token").value, 0.25);
+        assert_eq!(get("sched.prefill_ms_per_token").samples, Some(64));
+        assert_eq!(get("core.kmeans_ms_p50").value, 4.0);
     }
 
     #[test]

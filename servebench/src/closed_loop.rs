@@ -14,7 +14,7 @@ use clusterkv_kvcache::prefix::PrefixStoreStats;
 use clusterkv_sched::{Request, RequestId, RequestMetrics, Scheduler};
 
 use crate::config::{EngineSpec, WorkloadSpec};
-use crate::probe::{Counts, Probe, Span, SpanKind};
+use crate::probe::{Counts, Probe, Span};
 use crate::ticklog::TickRecord;
 
 /// A scheduler plus the bench-side bookkeeping that attributes engine
@@ -29,15 +29,6 @@ pub struct Bench {
     sessions: u64,
 }
 
-/// Wall time of one set-up.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SetupTimes {
-    /// Engine and scheduler construction (synthetic weights included).
-    pub build_ns: u64,
-    /// Prefill of the shared document (0 without one).
-    pub document_ns: u64,
-}
-
 impl Bench {
     /// Build the engine and, for workloads with a shared document, prefill
     /// the document once through the scheduler so the prefix store holds it.
@@ -46,11 +37,8 @@ impl Bench {
         workload: &WorkloadSpec,
         document: Option<&[usize]>,
         probe: &Arc<Probe>,
-    ) -> Result<(Self, SetupTimes), String> {
-        let clock = probe.clock();
-        let t0 = clock.now_ns();
+    ) -> Result<Self, String> {
         let sched = engine.scheduler(probe)?;
-        let t1 = clock.now_ns();
         let mut bench = Bench {
             sched,
             probe: Arc::clone(probe),
@@ -75,14 +63,7 @@ impl Bench {
                 bench.sessions += outcome.admitted.len() as u64;
             }
         }
-        let t2 = clock.now_ns();
-        Ok((
-            bench,
-            SetupTimes {
-                build_ns: t1 - t0,
-                document_ns: t2 - t1,
-            },
-        ))
+        Ok(bench)
     }
 }
 
@@ -165,7 +146,6 @@ impl Phase {
 pub fn run_phase(bench: &mut Bench, clients: usize, trace: &[Request], limit: Limit) -> Phase {
     let probe = Arc::clone(&bench.probe);
     let clock = probe.clock();
-    let tracing = probe.tracing();
     // Snapshots taken when the timed window opens.
     let open = |bench: &Bench| {
         drop(probe.take_spans());
@@ -209,18 +189,7 @@ pub fn run_phase(bench: &mut Bench, clients: usize, trace: &[Request], limit: Li
                 let max_new_tokens = request.max_new_tokens;
                 phase.attempted += 1;
                 let t0 = clock.now_ns();
-                let submitted = bench.sched.submit(request);
-                let t1 = clock.now_ns();
-                if tracing {
-                    probe.record(Span {
-                        kind: SpanKind::Submit,
-                        start_ns: t0,
-                        end_ns: t1,
-                        tick: phase.ticks.len() as u64,
-                        session: None,
-                    });
-                }
-                match submitted {
+                match bench.sched.submit(request) {
                     Ok(id) => {
                         by_id.insert(id, phase.requests.len());
                         *slot = Some(phase.requests.len());
@@ -261,15 +230,6 @@ pub fn run_phase(bench: &mut Bench, clients: usize, trace: &[Request], limit: Li
                 break;
             }
         };
-        if tracing {
-            probe.record(Span {
-                kind: SpanKind::Tick,
-                start_ns,
-                end_ns,
-                tick: pos as u64,
-                session: None,
-            });
-        }
         phase.ticks.push(TickRecord {
             start_ns,
             end_ns,

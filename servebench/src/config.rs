@@ -150,8 +150,8 @@ pub struct Sides {
     pub plan_selective: (f64, f64),
     /// `kvcache.prefix_hit_frac`.
     pub prefix_hit: (f64, f64),
-    /// `sched.decode_tick_wall_frac`.
-    pub decode_share: (f64, f64),
+    /// `sched.decode_tick_frac`.
+    pub decode_ticks: (f64, f64),
 }
 
 impl Sides {
@@ -173,9 +173,9 @@ impl Sides {
                 self.prefix_hit,
             ),
             (
-                "sched.decode_tick_wall_frac",
-                p.decode_tick_wall_frac,
-                self.decode_share,
+                "sched.decode_tick_frac",
+                p.decode_tick_frac,
+                self.decode_ticks,
             ),
         ] {
             if !(lo..=hi).contains(&value) {
@@ -202,11 +202,11 @@ impl WorkloadSpec {
                 document: 0,
                 trace_len: 1024,
                 // Context never exceeds the budget, prompts are unique, and
-                // most wall time goes to ticks that carry prefill chunks.
+                // prefill chunks interleave with decode in many ticks.
                 sides: Sides {
                     plan_selective: (0.0, 0.0),
                     prefix_hit: (0.0, 0.05),
-                    decode_share: (0.05, 0.5),
+                    decode_ticks: (0.5, 0.95),
                 },
                 reference_rps: 1.0,
             },
@@ -224,12 +224,12 @@ impl WorkloadSpec {
                     document: doc,
                     trace_len: 128,
                     // Every decode step selects, the document is served
-                    // from the prefix store, and the long outputs keep
-                    // decode-only ticks a large share of wall time.
+                    // from the prefix store, and the long outputs make most
+                    // ticks decode-only.
                     sides: Sides {
                         plan_selective: (0.95, 1.0),
                         prefix_hit: (0.9, 1.0),
-                        decode_share: (0.15, 0.8),
+                        decode_ticks: (0.5, 0.95),
                     },
                     reference_rps: 0.25,
                 }

@@ -1,6 +1,6 @@
 //! Closed-loop wall-clock serving benchmark over the ClusterKV stack.
 //!
-//! One engine configuration serves three closed-loop workloads through
+//! One engine configuration serves two closed-loop workloads through
 //! `clusterkv_sched::Scheduler`; see `README.md` in this directory for why
 //! each workload exists and which metric each layer should move. Everything
 //! is measured from outside the library crates: wall time around the public

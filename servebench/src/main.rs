@@ -37,6 +37,7 @@ const PER_LAYER: &[&str] = &[
     "sched.decode_batch_mean",
     "sched.ticks",
     "sched.queue_wait_ms_p50",
+    "sched.decode_tick_frac",
     "sched.decode_tick_wall_frac",
     "sched.modeled_s",
     "sched.wall_s",
@@ -47,8 +48,9 @@ const PER_LAYER: &[&str] = &[
     "trace_overhead_frac",
 ];
 
-/// Engine builds timed per run; `setup_s` takes their median.
-const SETUP_BUILDS: usize = 3;
+/// Set-ups timed by a `--trace 0` run; `setup_s` takes their median. A
+/// traced run, whose result line has no `setup_s`, sets up once.
+const SETUPS: usize = 3;
 
 const USAGE: &str = "usage: servebench --workload <chat_short|doc_qa> \
                      --seed <n> --seconds <s> --trace <0|1> [--pin <n>]";
@@ -134,7 +136,7 @@ fn run(args: &Args) -> Result<(), String> {
 
     if let Some(n) = args.pin {
         let probe = Probe::new(clock, false);
-        let (mut bench, _) = Bench::setup(&engine, &workload, document, &probe)?;
+        let mut bench = Bench::setup(&engine, &workload, document, &probe)?;
         let phase = run_phase(
             &mut bench,
             workload.clients,
@@ -162,18 +164,21 @@ fn run(args: &Args) -> Result<(), String> {
         return Ok(());
     }
 
-    // Set-up: the engine build is timed SETUP_BUILDS times (median), the
-    // shared document is prefilled once by the last build.
+    // Set-up (engine build, plus doc_qa's one-time document prefill), timed
+    // SETUPS times; the run serves on the last one. Each earlier one is
+    // dropped before the next is built, so peak memory holds one engine.
     let probe = Probe::new(clock, false);
-    let mut builds = Vec::new();
-    for _ in 1..SETUP_BUILDS {
+    let setups = if args.trace { 1 } else { SETUPS };
+    let mut setup_times = Vec::new();
+    let mut bench = None;
+    for _ in 0..setups {
+        drop(bench.take());
         let t0 = clock.now_ns();
-        drop(engine.scheduler(&probe)?);
-        builds.push(secs(clock.now_ns() - t0));
+        bench = Some(Bench::setup(&engine, &workload, document, &probe)?);
+        setup_times.push(secs(clock.now_ns() - t0));
     }
-    let (mut bench, times) = Bench::setup(&engine, &workload, document, &probe)?;
-    builds.push(secs(times.build_ns));
-    let setup_s = median(&builds) + secs(times.document_ns);
+    let mut bench = bench.ok_or("no set-up ran")?;
+    let setup_s = median(&setup_times);
     // A traced run serves its requests twice (untraced, then traced on a
     // fresh engine), so each half gets half the requests to stay near
     // `--seconds` of serving in total.
@@ -197,7 +202,7 @@ fn run(args: &Args) -> Result<(), String> {
     let mut traced_host = None;
     let traced = if args.trace {
         let probe = Probe::new(clock, true);
-        let (mut bench, _) = Bench::setup(&engine, &workload, document, &probe)?;
+        let mut bench = Bench::setup(&engine, &workload, document, &probe)?;
         let host_before = HostSample::now();
         let phase = run_phase(&mut bench, workload.clients, &trace, limit);
         traced_host = Some(HostSample::now().since(&host_before));
@@ -212,7 +217,7 @@ fn run(args: &Args) -> Result<(), String> {
     };
 
     let mut e2e = untraced.e2e.clone();
-    e2e.push(Metric::new("setup_s", "s", setup_s, Some(SETUP_BUILDS)));
+    e2e.push(Metric::new("setup_s", "s", setup_s, Some(setups)));
     match peak_rss_mib() {
         Some(mib) => e2e.push(Metric::new("peak_rss_mib", "MiB", mib, None)),
         None => failures.push("VmHWM unavailable".to_string()),
@@ -290,15 +295,14 @@ fn peak_rss_mib() -> Option<f64> {
     Some(kib / 1024.0)
 }
 
-/// CPU accounting of the whole machine (`/proc/stat` jiffies) and of this
-/// process (`/proc/self/stat` ticks). Steal is time a virtual CPU wanted to
-/// run but the hypervisor ran something else: it inflates every wall-clock
-/// figure of the run, so each report states how much there was.
+/// CPU accounting of the whole machine (`/proc/stat` jiffies). Steal is
+/// time a virtual CPU wanted to run but the hypervisor ran something else:
+/// it inflates every wall-clock figure of the run, so each report states
+/// how much there was.
 #[derive(Debug, Clone, Copy, Default)]
 struct HostSample {
     total: u64,
     steal: u64,
-    process: u64,
 }
 
 impl HostSample {
@@ -312,21 +316,9 @@ impl HostSample {
             .skip(1)
             .filter_map(|v| v.parse().ok())
             .collect();
-        let own = std::fs::read_to_string("/proc/self/stat").unwrap_or_default();
-        // Fields after the parenthesised command name start at field 3;
-        // utime and stime are fields 14 and 15.
-        let own: Vec<u64> = own
-            .rsplit_once(')')
-            .map_or("", |(_, rest)| rest)
-            .split_whitespace()
-            .skip(11)
-            .take(2)
-            .filter_map(|v| v.parse().ok())
-            .collect();
         Self {
             total: cpu.iter().sum(),
             steal: cpu.get(7).copied().unwrap_or(0),
-            process: own.iter().sum(),
         }
     }
 
@@ -338,26 +330,28 @@ impl HostSample {
         Self {
             total: self.total.saturating_sub(before.total),
             steal: self.steal.saturating_sub(before.steal),
-            process: self.process.saturating_sub(before.process),
         }
     }
 }
 
-/// The commit under test: `SERVEBENCH_COMMIT`, else the checkout's
-/// `.git/HEAD` (resolved through a loose ref), else `unknown`.
+/// The commit under test, from the checkout's `.git/HEAD` (resolved through
+/// a loose ref or `packed-refs`), or `unknown` outside a git checkout.
 fn commit() -> String {
-    if let Ok(c) = std::env::var("SERVEBENCH_COMMIT") {
-        return c;
-    }
-    let head = std::fs::read_to_string(".git/HEAD").unwrap_or_default();
+    let read = |path: &str| std::fs::read_to_string(format!(".git/{path}")).ok();
+    let head = read("HEAD").unwrap_or_default();
     let head = head.trim();
-    match head.strip_prefix("ref: ") {
-        Some(r) => std::fs::read_to_string(format!(".git/{r}"))
-            .map(|c| c.trim().to_string())
-            .unwrap_or_else(|_| "unknown".to_string()),
-        None if !head.is_empty() => head.to_string(),
-        None => "unknown".to_string(),
-    }
+    let resolved = match head.strip_prefix("ref: ") {
+        Some(r) => read(r).map(|c| c.trim().to_string()).or_else(|| {
+            read("packed-refs")?.lines().find_map(|l| {
+                let (hash, name) = l.split_once(' ')?;
+                (name == r).then(|| hash.to_string())
+            })
+        }),
+        None => Some(head.to_string()),
+    };
+    resolved
+        .filter(|c| !c.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
 }
 
 struct Meta<'a> {
@@ -436,10 +430,9 @@ fn report_json(
             "\"clusterkv\": {{\"tokens_per_cluster\": {}, \"sink_tokens\": {}, \"budget\": {}, ",
             "\"cache_bytes\": {}, \"prefix_store_bytes\": {}}}, ",
             "\"clients\": {}, \"warmup_requests\": {}, \"requests\": {}, \"prompt_len\": [{}, {}], \"output_len\": [{}, {}], ",
-            "\"document\": {}, \"host_steal_frac\": {}, \"traced_host_steal_frac\": {}, ",
-            "\"process_cpu_s\": {}}}, ",
+            "\"document\": {}, \"host_steal_frac\": {}, \"traced_host_steal_frac\": {}}}, ",
             "\"properties\": {{\"core.plan_selective_frac\": {}, \"kvcache.prefix_hit_frac\": {}, ",
-            "\"sched.decode_tick_wall_frac\": {}}}, ",
+            "\"sched.decode_tick_frac\": {}}}, ",
             "\"digests\": {{\"untraced\": {}, \"traced\": {}}}, \"ttft_ms\": [{}], ",
             "\"end_to_end\": {}, \"per_layer\": {}, \"failures\": {}}}}}"
         ),
@@ -473,11 +466,9 @@ fn report_json(
         w.document,
         num(meta.host.steal_frac()),
         meta.traced_host.map_or("null".to_string(), |h| num(h.steal_frac())),
-        // USER_HZ is 100 on every Linux target.
-        num(meta.host.process as f64 / 100.0),
         num(p.plan_selective_frac),
         num(p.prefix_hit_frac),
-        num(p.decode_tick_wall_frac),
+        num(p.decode_tick_frac),
         digest(untraced),
         traced.map_or("null".to_string(), digest),
         untraced

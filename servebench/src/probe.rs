@@ -11,53 +11,32 @@
 //! hints and change what the engine does.
 //!
 //! Counts are recorded in every run; clock reads and spans only when the
-//! probe is tracing.
+//! probe is tracing. Only the calls that feed a reported metric get a span
+//! kind of their own; the other methods are forwarded untimed.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use clusterkv_model::policy::HeadContext;
+use clusterkv_model::policy::{HeadContext, SharedPrefixState};
 use clusterkv_model::{
     KvResidency, ObserveEvent, PageRequest, SelectionPlan, SelectionRequest, SelectorFactory,
     TokenSelector,
 };
 
 use crate::clock::WallClock;
-use clusterkv_model::policy::SharedPrefixState;
 
-/// What a span measured: `Tick` and `Submit` enter `sched`, every other
-/// kind enters `core` (ClusterKV).
+/// Which call into the `core` crate (ClusterKV) a span timed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SpanKind {
-    /// One `Scheduler::tick` call.
-    Tick,
-    /// One `Scheduler::submit` call.
-    Submit,
     /// `TokenSelector::plan` (cluster selection on selective steps).
     Plan,
-    /// `observe(PrefillDone)`: ClusterKV's prefill k-means.
+    /// `observe(PrefillDone)` or a monolithic `observe(Prefill)`: ClusterKV's
+    /// prefill k-means.
     Kmeans,
-    /// `observe(Prefill)`: monolithic prefill clustering.
-    Prefill,
     /// `observe(PrefillChunk)`: buffering one prompt chunk's keys.
     ChunkObserve,
     /// `observe(Append)`: incremental decode clustering.
     Append,
-    /// `TokenSelector::page_table` (cluster-cache warming).
-    PageTable,
-    /// `TokenSelector::export_prefill_state` (prefix-store donation).
-    Export,
-    /// `TokenSelector::adopt_prefill_state` (prefix-store adoption).
-    Adopt,
-    /// `TokenSelector::prefetch_hint`.
-    PrefetchHint,
-}
-
-impl SpanKind {
-    /// Whether the span times a call into the `core` crate.
-    pub fn is_core(self) -> bool {
-        !matches!(self, SpanKind::Tick | SpanKind::Submit)
-    }
 }
 
 /// One timed call. Times are nanoseconds on the run's [`WallClock`].
@@ -71,9 +50,9 @@ pub struct Span {
     pub end_ns: u64,
     /// Scheduler tick the call ran in (the parent span).
     pub tick: u64,
-    /// Engine session ordinal (creation order) the call served, where the
-    /// probe can attribute it; the closed loop maps ordinals to requests.
-    pub session: Option<u64>,
+    /// Engine session ordinal (creation order) the call served; the closed
+    /// loop maps ordinals to requests.
+    pub session: u64,
 }
 
 impl Span {
@@ -88,22 +67,16 @@ impl Span {
 pub enum Counter {
     /// `plan` calls.
     PlanCalls,
-    /// `plan` calls whose context exceeded the budget (selection ran
-    /// instead of returning the full context).
+    /// `plan` calls that returned a selection (fewer tokens than the
+    /// context) rather than the full context.
     PlanSelective,
     /// Sum of `PolicyStats::scored_vectors` over returned plans.
     ScoredVectors,
-    /// `observe(PrefillDone)` calls (k-means runs).
+    /// Prefill k-means runs (`observe(PrefillDone)` or `observe(Prefill)`).
     Kmeans,
-    /// `observe(PrefillChunk)` calls.
-    ChunkObserves,
-    /// `observe(Append)` calls.
-    Appends,
-    /// `adopt_prefill_state` calls that adopted.
-    Adopted,
 }
 
-const COUNTERS: usize = 7;
+const COUNTERS: usize = 4;
 
 /// A snapshot of every [`Counter`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -125,11 +98,11 @@ impl Counts {
     }
 }
 
-/// Shared recorder behind the closed loop's timers and every timed selector.
+/// Shared recorder behind every timed selector.
 #[derive(Debug)]
 pub struct Probe {
     clock: WallClock,
-    tracing: AtomicBool,
+    tracing: bool,
     tick: AtomicU64,
     spans: Mutex<Vec<Span>>,
     counts: [AtomicU64; COUNTERS],
@@ -140,7 +113,7 @@ impl Probe {
     pub fn new(clock: WallClock, tracing: bool) -> Arc<Self> {
         Arc::new(Self {
             clock,
-            tracing: AtomicBool::new(tracing),
+            tracing,
             tick: AtomicU64::new(0),
             spans: Mutex::new(Vec::new()),
             counts: Default::default(),
@@ -154,7 +127,7 @@ impl Probe {
 
     /// Whether spans are being recorded.
     pub fn tracing(&self) -> bool {
-        self.tracing.load(Ordering::Relaxed)
+        self.tracing
     }
 
     /// Set the tick that subsequent spans belong to.
@@ -165,29 +138,25 @@ impl Probe {
     /// Start timing a call: the current time when tracing, else `None` (no
     /// clock read).
     pub fn begin(&self) -> Option<u64> {
-        self.tracing().then(|| self.clock.now_ns())
+        self.tracing.then(|| self.clock.now_ns())
     }
 
     /// Finish a call started with [`begin`](Self::begin).
-    pub fn end(&self, kind: SpanKind, begin: Option<u64>, session: Option<u64>) {
+    pub fn end(&self, kind: SpanKind, begin: Option<u64>, session: u64) {
         if let Some(start_ns) = begin {
             let end_ns = self.clock.now_ns();
-            self.record(Span {
+            let span = Span {
                 kind,
                 start_ns,
                 end_ns,
                 tick: self.tick.load(Ordering::Relaxed),
                 session,
-            });
+            };
+            self.spans
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .push(span);
         }
-    }
-
-    /// Record a finished span.
-    pub fn record(&self, span: Span) {
-        self.spans
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(span);
     }
 
     /// Add to a counter.
@@ -208,7 +177,8 @@ impl Probe {
     }
 }
 
-/// [`SelectorFactory`] wrapper timing every call into the wrapped policy.
+/// [`SelectorFactory`] wrapper that times and counts calls into the wrapped
+/// policy and forwards every [`TokenSelector`] method.
 pub struct TimedFactory {
     inner: Box<dyn SelectorFactory>,
     probe: Arc<Probe>,
@@ -244,7 +214,7 @@ impl SelectorFactory for TimedFactory {
         Box::new(TimedSelector {
             inner: self.inner.create(ctx),
             probe: Arc::clone(&self.probe),
-            session: Some(n / self.selectors_per_session),
+            session: n / self.selectors_per_session,
         })
     }
 }
@@ -253,16 +223,7 @@ impl SelectorFactory for TimedFactory {
 struct TimedSelector {
     inner: Box<dyn TokenSelector>,
     probe: Arc<Probe>,
-    session: Option<u64>,
-}
-
-impl TimedSelector {
-    fn timed<T>(&self, kind: SpanKind, call: impl FnOnce() -> T) -> T {
-        let begin = self.probe.begin();
-        let out = call();
-        self.probe.end(kind, begin, self.session);
-        out
-    }
+    session: u64,
 }
 
 impl TokenSelector for TimedSelector {
@@ -271,16 +232,17 @@ impl TokenSelector for TimedSelector {
     }
 
     fn observe(&mut self, event: ObserveEvent<'_>) {
-        let (kind, counter) = match event {
-            ObserveEvent::Prefill { .. } => (SpanKind::Prefill, Counter::Kmeans),
-            ObserveEvent::PrefillChunk { .. } => (SpanKind::ChunkObserve, Counter::ChunkObserves),
-            ObserveEvent::PrefillDone { .. } => (SpanKind::Kmeans, Counter::Kmeans),
-            ObserveEvent::Append { .. } => (SpanKind::Append, Counter::Appends),
+        let kind = match event {
+            ObserveEvent::Prefill { .. } | ObserveEvent::PrefillDone { .. } => SpanKind::Kmeans,
+            ObserveEvent::PrefillChunk { .. } => SpanKind::ChunkObserve,
+            ObserveEvent::Append { .. } => SpanKind::Append,
         };
         let begin = self.probe.begin();
         self.inner.observe(event);
         self.probe.end(kind, begin, self.session);
-        self.probe.bump(counter, 1);
+        if kind == SpanKind::Kmeans {
+            self.probe.bump(Counter::Kmeans, 1);
+        }
     }
 
     fn plan(&mut self, request: SelectionRequest<'_>) -> SelectionPlan {
@@ -288,7 +250,9 @@ impl TokenSelector for TimedSelector {
         let plan = self.inner.plan(request);
         self.probe.end(SpanKind::Plan, begin, self.session);
         self.probe.bump(Counter::PlanCalls, 1);
-        if !request.budget.covers(request.num_tokens) {
+        // Judged by what came back, not by the request: a policy that
+        // returned the whole context over budget did not select.
+        if plan.indices.len() < request.num_tokens {
             self.probe.bump(Counter::PlanSelective, 1);
         }
         self.probe
@@ -297,11 +261,11 @@ impl TokenSelector for TimedSelector {
     }
 
     fn page_table(&self) -> KvResidency {
-        self.timed(SpanKind::PageTable, || self.inner.page_table())
+        self.inner.page_table()
     }
 
     fn export_prefill_state(&self) -> Option<SharedPrefixState> {
-        self.timed(SpanKind::Export, || self.inner.export_prefill_state())
+        self.inner.export_prefill_state()
     }
 
     fn prefetch_hint(
@@ -309,20 +273,11 @@ impl TokenSelector for TimedSelector {
         request: SelectionRequest<'_>,
         lookahead_tokens: usize,
     ) -> Vec<PageRequest> {
-        let begin = self.probe.begin();
-        let pages = self.inner.prefetch_hint(request, lookahead_tokens);
-        self.probe.end(SpanKind::PrefetchHint, begin, self.session);
-        pages
+        self.inner.prefetch_hint(request, lookahead_tokens)
     }
 
     fn adopt_prefill_state(&mut self, state: &SharedPrefixState, total_tokens: usize) -> bool {
-        let begin = self.probe.begin();
-        let adopted = self.inner.adopt_prefill_state(state, total_tokens);
-        self.probe.end(SpanKind::Adopt, begin, self.session);
-        if adopted {
-            self.probe.bump(Counter::Adopted, 1);
-        }
-        adopted
+        self.inner.adopt_prefill_state(state, total_tokens)
     }
 }
 
@@ -330,10 +285,13 @@ impl TokenSelector for TimedSelector {
 mod tests {
     use super::*;
     use clusterkv_kvcache::types::Budget;
+    use clusterkv_model::PolicyStats;
     use clusterkv_tensor::Matrix;
 
     /// Records which trait methods reached it and returns recognisable
-    /// values from each.
+    /// values from each. `plan` selects the last token (scoring 5 vectors)
+    /// for a query whose first entry is positive, and otherwise returns the
+    /// whole context whatever the budget.
     #[derive(Default)]
     struct Recorder {
         calls: Arc<Mutex<Vec<&'static str>>>,
@@ -348,7 +306,14 @@ mod tests {
         }
         fn plan(&mut self, request: SelectionRequest<'_>) -> SelectionPlan {
             self.calls.lock().unwrap().push("plan");
-            SelectionPlan::new(vec![request.num_tokens - 1])
+            if request.query[0] > 0.0 {
+                SelectionPlan::new(vec![request.num_tokens - 1]).with_stats(PolicyStats {
+                    scored_vectors: 5,
+                    ..PolicyStats::default()
+                })
+            } else {
+                SelectionPlan::full(request.num_tokens)
+            }
         }
         fn page_table(&self) -> KvResidency {
             self.calls.lock().unwrap().push("page_table");
@@ -416,6 +381,11 @@ mod tests {
         let query = [1.0, 0.0];
         let request = SelectionRequest::new(&query, 300, Budget::new(256));
         assert_eq!(sel.plan(request).indices, vec![299]);
+        // Over budget too, but the policy returns the whole context: not a
+        // selective plan.
+        let full_query = [0.0, 1.0];
+        let full = SelectionRequest::new(&full_query, 300, Budget::new(256));
+        assert_eq!(sel.plan(full).indices.len(), 300);
         assert_eq!(
             sel.page_table(),
             KvResidency::Paged(vec![PageRequest::new(3, 4)])
@@ -431,6 +401,7 @@ mod tests {
                 "observe",
                 "observe",
                 "plan",
+                "plan",
                 "page_table",
                 "export_prefill_state",
                 "prefetch_hint",
@@ -438,24 +409,30 @@ mod tests {
             ]
         );
         let counts = probe.counts();
-        assert_eq!(counts.get(Counter::PlanCalls), 1);
+        assert_eq!(counts.get(Counter::PlanCalls), 2);
         assert_eq!(counts.get(Counter::PlanSelective), 1);
+        assert_eq!(counts.get(Counter::ScoredVectors), 5);
         assert_eq!(counts.get(Counter::Kmeans), 1);
-        assert_eq!(counts.get(Counter::ChunkObserves), 1);
-        assert_eq!(counts.get(Counter::Appends), 1);
-        assert_eq!(counts.get(Counter::Adopted), 1);
         let spans = probe.take_spans();
-        assert_eq!(spans.len(), 8);
-        assert!(spans
-            .iter()
-            .all(|s| s.session == Some(1) && s.kind.is_core()));
+        let kinds: Vec<SpanKind> = spans.iter().map(|s| s.kind).collect();
+        assert_eq!(
+            kinds,
+            vec![
+                SpanKind::ChunkObserve,
+                SpanKind::Kmeans,
+                SpanKind::Append,
+                SpanKind::Plan,
+                SpanKind::Plan
+            ]
+        );
+        assert!(spans.iter().all(|s| s.session == 1));
     }
 
     #[test]
     fn untraced_probe_counts_without_spans() {
         let probe = Probe::new(WallClock::start(), false);
         assert_eq!(probe.begin(), None);
-        probe.end(SpanKind::Plan, None, Some(0));
+        probe.end(SpanKind::Plan, None, 0);
         probe.bump(Counter::PlanCalls, 2);
         assert!(probe.take_spans().is_empty());
         let before = Counts::default();

@@ -37,11 +37,6 @@ impl TickRecord {
     pub fn is_decode_only(&self) -> bool {
         self.decode_tokens > 0 && self.prefill_tokens == 0
     }
-
-    /// A tick that only forwarded prompt chunks.
-    pub fn is_prefill_only(&self) -> bool {
-        self.prefill_tokens > 0 && self.decode_tokens == 0
-    }
 }
 
 /// Position in `log` of the tick that produced a token stamped

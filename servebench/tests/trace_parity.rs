@@ -14,7 +14,7 @@ fn run(workload: &WorkloadSpec, seed: u64, tracing: bool, pins: &[(usize, u64)])
     let engine = EngineSpec::at(Scale::Smoke);
     let trace = workload.trace(engine.model.vocab_size, seed);
     let probe = Probe::new(WallClock::start(), tracing);
-    let (mut bench, _) =
+    let mut bench =
         Bench::setup(&engine, workload, workload.document_of(&trace), &probe).expect("setup");
     let limit = Limit {
         warmup: true,
@@ -23,10 +23,9 @@ fn run(workload: &WorkloadSpec, seed: u64, tracing: bool, pins: &[(usize, u64)])
     let phase = run_phase(&mut bench, workload.clients, &trace, limit);
     assert_eq!(phase.spans.is_empty(), !tracing, "{}", workload.name);
     // Every selector span of the phase is attributed to one of its requests.
-    for span in phase.spans.iter().filter(|s| s.kind.is_core()) {
-        let session = span.session.expect("selector spans carry a session");
+    for span in &phase.spans {
         assert!(
-            phase.session_requests.contains_key(&session),
+            phase.session_requests.contains_key(&span.session),
             "{}",
             workload.name
         );
