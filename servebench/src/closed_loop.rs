@@ -105,7 +105,7 @@ pub struct RequestRecord {
 }
 
 /// Everything one timed phase observed.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Phase {
     /// Wall time the timed window opened.
     pub start_ns: u64,
@@ -138,6 +138,92 @@ impl Phase {
     pub fn wall_ns(&self) -> u64 {
         self.end_ns.saturating_sub(self.start_ns)
     }
+
+    /// Same ticks with the same contents, and the same requests admitted
+    /// and finished in the same ticks: only wall times may differ.
+    fn same_work(&self, other: &Phase) -> bool {
+        let request = |r: &RequestRecord| (r.index, r.admit_pos, r.finish_pos);
+        self.window == other.window
+            && self.ticks.len() == other.ticks.len()
+            && self
+                .ticks
+                .iter()
+                .zip(&other.ticks)
+                .all(|(a, b)| a.same_work(b))
+            && self
+                .requests
+                .iter()
+                .map(request)
+                .eq(other.requests.iter().map(request))
+    }
+}
+
+/// The median of `phases`, repeats of the same work on fresh set-ups.
+///
+/// Every repeat must make the same ticks with the same contents (checked).
+/// Each tick, and each gap before it, then takes its median wall duration
+/// over the repeats, laid end to end from the first repeat's first tick. A
+/// submission keeps its offset after the tick it followed, capped at the new
+/// gap. A slow spell of the host that hits one repeat, or a different part
+/// of each, leaves the median untouched. Everything but wall times is the
+/// first repeat's. Spans are not remapped, so traced phases are not
+/// combined.
+pub fn median_phase(phases: &[Phase]) -> Result<Phase, String> {
+    let (first, rest) = phases.split_first().ok_or("no phase to combine")?;
+    if !rest.is_empty() && phases.iter().any(|p| !p.spans.is_empty()) {
+        return Err("traced phases are not combined".to_string());
+    }
+    if let Some(r) = rest.iter().position(|p| !p.same_work(first)) {
+        return Err(format!(
+            "repeat {} served different ticks than repeat 0",
+            r + 1
+        ));
+    }
+    // Per repeat and tick: (gap before the tick, tick duration).
+    let shapes: Vec<Vec<(u64, u64)>> = phases
+        .iter()
+        .map(|p| {
+            let mut prev = p.ticks.first().map_or(0, |t| t.start_ns);
+            p.ticks
+                .iter()
+                .map(|t| {
+                    let gap = t.start_ns.saturating_sub(prev);
+                    prev = t.end_ns;
+                    (gap, t.ns())
+                })
+                .collect()
+        })
+        .collect();
+    let median = |i: usize, part: fn(&(u64, u64)) -> u64| {
+        let mut v: Vec<u64> = shapes.iter().map(|s| part(&s[i])).collect();
+        v.sort_unstable();
+        v[v.len() / 2]
+    };
+
+    let mut out = first.clone();
+    let mut t = first.ticks.first().map_or(first.start_ns, |t| t.start_ns);
+    for (i, tick) in out.ticks.iter_mut().enumerate() {
+        tick.start_ns = t + median(i, |s| s.0);
+        tick.end_ns = tick.start_ns + median(i, |s| s.1);
+        t = tick.end_ns;
+    }
+    for r in &mut out.requests {
+        let ended = first.ticks.partition_point(|t| t.end_ns <= r.submit_ns);
+        let Some(k) = ended.checked_sub(1) else {
+            continue; // before the first tick, which did not move
+        };
+        let offset = r.submit_ns - first.ticks[k].end_ns;
+        let room = out
+            .ticks
+            .get(k + 1)
+            .map_or(offset, |next| next.start_ns - out.ticks[k].end_ns);
+        r.submit_ns = out.ticks[k].end_ns + offset.min(room);
+    }
+    if let Some(k) = first.window.checked_sub(1) {
+        out.start_ns = out.ticks[k].end_ns;
+    }
+    out.end_ns = out.ticks.last().map_or(out.start_ns, |t| t.end_ns);
+    Ok(out)
 }
 
 /// Run the closed loop over `trace` with `clients` clients until `limit`.
@@ -275,4 +361,87 @@ pub fn run_phase(bench: &mut Bench, clients: usize, trace: &[Request], limit: Li
     phase.prefix = prefix_before.zip(bench.sched.engine().prefix_store_stats());
     phase.modeled_s = bench.sched.clock().get() - window_clock;
     phase
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A phase of back-to-back ticks with 1 ns gaps and the given wall
+    /// durations (ns); each tick decodes one token in 0.1 modeled seconds.
+    /// One request is submitted 1 ns after tick 0 and finishes in the last
+    /// tick; the timed window opens after tick 0.
+    fn phase(durations: &[u64]) -> Phase {
+        let mut ticks = Vec::new();
+        let mut t = 1_000;
+        for (i, &ns) in durations.iter().enumerate() {
+            ticks.push(TickRecord {
+                start_ns: t + 1,
+                end_ns: t + 1 + ns,
+                clock_before: i as f64 * 0.1,
+                clock_after: (i + 1) as f64 * 0.1,
+                prefill_tokens: 0,
+                decode_tokens: 1,
+            });
+            t += 1 + ns;
+        }
+        Phase {
+            start_ns: ticks[0].end_ns,
+            end_ns: t,
+            requests: vec![RequestRecord {
+                index: 0,
+                id: RequestId(0),
+                max_new_tokens: durations.len() - 1,
+                submit_ns: ticks[0].end_ns + 1,
+                timed: true,
+                admit_pos: Some(1),
+                finish_pos: Some(durations.len() - 1),
+                metrics: None,
+            }],
+            ticks,
+            window: 1,
+            attempted: 1,
+            errors: Vec::new(),
+            counts: Counts::default(),
+            spans: Vec::new(),
+            session_requests: BTreeMap::new(),
+            prefix: None,
+            modeled_s: 0.0,
+        }
+    }
+
+    #[test]
+    fn median_phase_takes_each_ticks_median_over_repeats() {
+        // Each repeat has one slow tick, in a different place.
+        let repeats = [
+            phase(&[10, 20, 30]),
+            phase(&[10, 200, 30]),
+            phase(&[100, 20, 31]),
+        ];
+        let median = median_phase(&repeats).unwrap();
+        let durations: Vec<u64> = median.ticks.iter().map(TickRecord::ns).collect();
+        assert_eq!(durations, vec![10, 20, 30]);
+        // Same origin, gaps kept, window opens at the end of tick 0.
+        assert_eq!(median.ticks[0].start_ns, repeats[0].ticks[0].start_ns);
+        assert_eq!(median.ticks[1].start_ns, median.ticks[0].end_ns + 1);
+        assert_eq!(median.start_ns, median.ticks[0].end_ns);
+        assert_eq!(median.wall_ns(), 1 + 20 + 1 + 30);
+        assert_eq!(median.requests[0].submit_ns, median.ticks[0].end_ns + 1);
+        // One repeat is its own median.
+        let single = median_phase(&repeats[1..2]).unwrap();
+        assert_eq!(single.ticks, repeats[1].ticks);
+        assert_eq!(single.start_ns, repeats[1].start_ns);
+    }
+
+    #[test]
+    fn median_phase_refuses_repeats_that_served_other_ticks() {
+        let mut other = phase(&[10, 20, 30]);
+        other.ticks[2].decode_tokens = 2;
+        let err = median_phase(&[phase(&[10, 20, 30]), other]).unwrap_err();
+        assert!(err.contains("repeat 1"), "{err}");
+        let mut late = phase(&[10, 20, 30]);
+        late.requests[0].finish_pos = Some(1);
+        assert!(median_phase(&[phase(&[10, 20, 30]), late]).is_err());
+        assert!(median_phase(&[]).is_err());
+    }
 }

@@ -1,19 +1,20 @@
 //! `servebench --workload <name> --seed <n> --seconds <s> --trace <0|1>`
 //!
-//! Builds the engine, serves the workload's closed loop (about `--seconds`
-//! of work on the reference host) and prints two JSON lines on stdout: a
-//! report with every metric (units, sample counts), property shares, stream
-//! digests and run metadata; then, last, the result object `{correct,
-//! attempted, failed, metrics}` holding the end-to-end metrics (`--trace 0`)
-//! or the per-layer metrics of a second, traced run (`--trace 1`).
-//! `--pin <n>` instead serves the first `n` requests and prints their stream
-//! digests as a `pins.rs` entry.
+//! Serves the workload's closed loop on freshly built engines: three
+//! repeats of the same requests (`--trace 0`; together about `--seconds` of
+//! work on the reference host), or one untraced and one traced run
+//! (`--trace 1`). Prints two JSON lines on stdout: a report with every
+//! metric (units, sample counts), property shares, stream digests and run
+//! metadata; then, last, the result object `{correct, attempted, failed,
+//! metrics}` holding the end-to-end metrics (`--trace 0`) or the per-layer
+//! metrics of the traced run (`--trace 1`). `--pin <n>` instead serves the
+//! first `n` requests and prints their stream digests as a `pins.rs` entry.
 
 use std::process::ExitCode;
 
 use servebench::analysis::{analyze, median, streams_digest, Analysis, Metric};
 use servebench::clock::{secs, WallClock};
-use servebench::closed_loop::{run_phase, Bench, Limit};
+use servebench::closed_loop::{median_phase, run_phase, Bench, Limit};
 use servebench::config::{EngineSpec, Scale, WorkloadSpec, WORKLOADS};
 use servebench::pins::pins;
 use servebench::probe::Probe;
@@ -48,9 +49,9 @@ const PER_LAYER: &[&str] = &[
     "trace_overhead_frac",
 ];
 
-/// Set-ups timed by a `--trace 0` run; `setup_s` takes their median. A
-/// traced run, whose result line has no `setup_s`, sets up once.
-const SETUPS: usize = 3;
+/// Repeats of a `--trace 0` run, each on its own timed set-up. Odd, so
+/// every median is one repeat's value.
+const REPEATS: usize = 3;
 
 const USAGE: &str = "usage: servebench --workload <chat_short|doc_qa> \
                      --seed <n> --seconds <s> --trace <0|1> [--pin <n>]";
@@ -164,40 +165,47 @@ fn run(args: &Args) -> Result<(), String> {
         return Ok(());
     }
 
-    // Set-up (engine build, plus doc_qa's one-time document prefill), timed
-    // SETUPS times; the run serves on the last one. Each earlier one is
-    // dropped before the next is built, so peak memory holds one engine.
-    let probe = Probe::new(clock, false);
-    let setups = if args.trace { 1 } else { SETUPS };
-    let mut setup_times = Vec::new();
-    let mut bench = None;
-    for _ in 0..setups {
-        drop(bench.take());
-        let t0 = clock.now_ns();
-        bench = Some(Bench::setup(&engine, &workload, document, &probe)?);
-        setup_times.push(secs(clock.now_ns() - t0));
-    }
-    let mut bench = bench.ok_or("no set-up ran")?;
-    let setup_s = median(&setup_times);
-    // A traced run serves its requests twice (untraced, then traced on a
-    // fresh engine), so each half gets half the requests to stay near
-    // `--seconds` of serving in total.
-    let requests = workload.requests_for(args.seconds);
+    // A `--trace 0` run serves the same requests REPEATS times, each time
+    // on a fresh set-up (engine build, plus doc_qa's one-time document
+    // prefill) that is timed for `setup_s`. Each engine is dropped before the
+    // next is built, so peak memory holds one. The metrics come from the
+    // median of the repeats (`median_phase`). A traced run serves them once
+    // untraced and once traced, each on a fresh engine.
+    let repeats = if args.trace { 1 } else { REPEATS };
     let limit = Limit {
         warmup: true,
-        requests: if args.trace {
-            requests.div_ceil(2).max(workload.clients)
-        } else {
-            requests
-        },
+        requests: workload.repeat_requests(args.seconds, REPEATS),
     };
+    let probe = Probe::new(clock, false);
+    let mut setup_times = Vec::new();
+    let mut phases = Vec::new();
     let host_before = HostSample::now();
-    let phase = run_phase(&mut bench, workload.clients, &trace, limit);
+    for _ in 0..repeats {
+        let t0 = clock.now_ns();
+        let mut bench = Bench::setup(&engine, &workload, document, &probe)?;
+        setup_times.push(secs(clock.now_ns() - t0));
+        phases.push(run_phase(&mut bench, workload.clients, &trace, limit));
+    }
     let host = HostSample::now().since(&host_before);
-    drop(bench);
-    let untraced = analyze(&phase, &workload, vocab, pinned);
-    let mut failures = untraced.failures.clone();
-    let mut attempted = phase.attempted;
+    let setup_s = median(&setup_times);
+    let mut failures = Vec::new();
+    let mut attempted = 0;
+    let analyses: Vec<Analysis> = phases
+        .iter()
+        .map(|phase| analyze(phase, &workload, vocab, pinned))
+        .collect();
+    for (phase, analysis) in phases.iter().zip(&analyses) {
+        attempted += phase.attempted;
+        failures.extend(analysis.failures.iter().cloned());
+        failures.extend(digest_mismatches(&analyses[0], analysis, "repeated"));
+    }
+    let untraced = match median_phase(&phases) {
+        Ok(phase) => analyze(&phase, &workload, vocab, pinned),
+        Err(e) => {
+            failures.push(e);
+            analyses[0].clone()
+        }
+    };
 
     let mut traced_host = None;
     let traced = if args.trace {
@@ -209,7 +217,7 @@ fn run(args: &Args) -> Result<(), String> {
         drop(bench);
         let traced = analyze(&phase, &workload, vocab, pinned);
         failures.extend(traced.failures.iter().cloned());
-        failures.extend(digest_mismatches(&untraced, &traced));
+        failures.extend(digest_mismatches(&untraced, &traced, "traced"));
         attempted += phase.attempted;
         Some(traced)
     } else {
@@ -217,7 +225,16 @@ fn run(args: &Args) -> Result<(), String> {
     };
 
     let mut e2e = untraced.e2e.clone();
-    e2e.push(Metric::new("setup_s", "s", setup_s, Some(setups)));
+    // Failures of every repeat and of the traced run, over all attempts.
+    for m in e2e.iter_mut().filter(|m| m.name == "fail_frac") {
+        *m = Metric::new(
+            "fail_frac",
+            "frac",
+            failures.len() as f64 / attempted.max(1) as f64,
+            Some(attempted),
+        );
+    }
+    e2e.push(Metric::new("setup_s", "s", setup_s, Some(repeats)));
     match peak_rss_mib() {
         Some(mib) => e2e.push(Metric::new("peak_rss_mib", "MiB", mib, None)),
         None => failures.push("VmHWM unavailable".to_string()),
@@ -253,6 +270,7 @@ fn run(args: &Args) -> Result<(), String> {
         host,
         traced_host,
         warmup: limit.warmup,
+        repeats,
         requests: limit.requests,
         workload: &workload,
         engine: &engine,
@@ -275,14 +293,14 @@ fn run(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Requests both runs completed must carry identical streams.
-fn digest_mismatches(untraced: &Analysis, traced: &Analysis) -> Vec<String> {
-    traced
-        .digests
+/// Requests both runs completed must carry identical streams: `run` (the
+/// `what` run) against `reference`.
+fn digest_mismatches(reference: &Analysis, run: &Analysis, what: &str) -> Vec<String> {
+    run.digests
         .iter()
         .filter_map(|&(i, d)| {
-            let (_, u) = untraced.digests.iter().find(|(j, _)| *j == i)?;
-            (*u != d).then(|| format!("request {i}: traced digest {d:016x} != untraced {u:016x}"))
+            let (_, u) = reference.digests.iter().find(|(j, _)| *j == i)?;
+            (*u != d).then(|| format!("request {i}: {what} digest {d:016x} != first run {u:016x}"))
         })
         .collect()
 }
@@ -358,6 +376,7 @@ struct Meta<'a> {
     host: HostSample,
     traced_host: Option<HostSample>,
     warmup: bool,
+    repeats: usize,
     requests: usize,
     workload: &'a WorkloadSpec,
     engine: &'a EngineSpec,
@@ -429,7 +448,7 @@ fn report_json(
             "\"ffn\": {}, \"vocab\": {}, \"dense_layers\": {}, \"max_context\": {}, \"weight_seed\": {}}}, ",
             "\"clusterkv\": {{\"tokens_per_cluster\": {}, \"sink_tokens\": {}, \"budget\": {}, ",
             "\"cache_bytes\": {}, \"prefix_store_bytes\": {}}}, ",
-            "\"clients\": {}, \"warmup_requests\": {}, \"requests\": {}, \"prompt_len\": [{}, {}], \"output_len\": [{}, {}], ",
+            "\"clients\": {}, \"repeats\": {}, \"warmup_requests\": {}, \"requests\": {}, \"prompt_len\": [{}, {}], \"output_len\": [{}, {}], ",
             "\"document\": {}, \"host_steal_frac\": {}, \"traced_host_steal_frac\": {}}}, ",
             "\"properties\": {{\"core.plan_selective_frac\": {}, \"kvcache.prefix_hit_frac\": {}, ",
             "\"sched.decode_tick_frac\": {}}}, ",
@@ -457,6 +476,7 @@ fn report_json(
         m.selected_kv_bytes_per_step(meta.engine.cache_tokens),
         meta.engine.prefix_store.get(),
         w.clients,
+        meta.repeats,
         if meta.warmup { w.clients } else { 0 },
         meta.requests,
         w.prompt_len.0,

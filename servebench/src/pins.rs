@@ -10,26 +10,26 @@ pub type Digests = &'static [(usize, u64)];
 /// Pinned digests.
 #[rustfmt::skip]
 pub const PINS: &[(&str, u64, Digests)] = &[
-("chat_short", 1, &[(0, 0x78503d9b92379d1f), (1, 0xc2032428caed4096), (2, 0x567aec837a474a28), (3, 0xf680e1adcec791d0), (4, 0x063aa3b32317178a), (5, 0x4e7e43c9befbdff7), (6, 0x17e7ff2fdbd7f72b), (7, 0xb9b567889f963620)]),
-    ("chat_short", 2, &[(0, 0xa7de4e7cd5acfb8c), (1, 0xc075023664bf4a2a), (2, 0x89dc1be2de7dc74c), (3, 0x052b1bb9fee113ac), (4, 0x86a1f5a4b5958c3b), (5, 0xca2b46749e32004d), (6, 0x19222ecd70a9dbb9), (7, 0xc04fb95ea8a7616e)]),
-    ("chat_short", 3, &[(0, 0xddb63d7a11dbbf9b), (1, 0x5883cce9884ea786), (2, 0x667e0d6ff3f0d314), (3, 0xb2aedb1231dc0f27), (4, 0xf44670d5f875e83e), (5, 0x8417f4e26b66d855), (6, 0x9ceec647736fcf2b), (7, 0x5fa89645117d8267)]),
-    ("chat_short", 4, &[(0, 0x0edcdbf79bb201a4), (1, 0x5845fe05d0326346), (2, 0x40e78dac79f0aa8a), (3, 0x8ff1ba5d818aa936), (4, 0xdb3d32852d5ac657), (5, 0xf00320345d6589ce), (6, 0x99b6b4d34c17fe2f), (7, 0xb5d45ea9486cb3bd)]),
-    ("chat_short", 5, &[(0, 0xac15aa888b162b3c), (1, 0xb896b57fc7187a06), (2, 0xa0d9c70f5d2f2d0a), (3, 0xea1bf7dcd4199d5c), (4, 0x4c263e15a591c9ef), (5, 0x1c90ae2a25845165), (6, 0xc9275e3f811422cd), (7, 0x780f2370b9128462)]),
-    ("chat_short", 6, &[(0, 0x6a4a8a5dfb37a3d7), (1, 0xb530ea5c257b9e91), (2, 0xec8fecad5b47660e), (3, 0xbed68b12f16b7d91), (4, 0x9a642d1330d1a374), (5, 0x64a3c0ddcea5a1c5), (6, 0x3bbe3d4c73b13a30), (7, 0x1107d21db5245835)]),
-    ("chat_short", 7, &[(0, 0x6d72766625b95012), (1, 0xdb8bda395e3153a3), (2, 0x9becae597f9b17ac), (3, 0x7334c31a98be4d2a), (4, 0xee05b6c9b59d1065), (5, 0xeade57c0aa02c3dd), (6, 0x95d9700a2a1a1600), (7, 0x5b92d292ab3d9efd)]),
-    ("chat_short", 8, &[(0, 0x068cb44aff1b49c0), (1, 0x017a7e4a25f1b55c), (2, 0xb7c778ea2850c98e), (3, 0x0654be90c18e0c8b), (4, 0x263cd3290fa6b597), (5, 0xdf8343c24f2c371f), (6, 0x61a7c0fab34fcf6f), (7, 0xbf5c44bf5ff16e24)]),
-    ("chat_short", 9, &[(0, 0x26f66665683fbcaa), (1, 0x9919e0e1859fa0fa), (2, 0xe4d41277d938fc5c), (3, 0x425114a0ce7c2379), (4, 0xe2b1d6a07cbbcfde), (5, 0x0e32d01e3b8a08ba), (6, 0xf775d7cea40d7f89), (7, 0x3eb8ef3b6056cf12)]),
-    ("chat_short", 10, &[(0, 0x9ad999c9a8943188), (1, 0xfd47e9720cad98ef), (2, 0x5fa04104d126d8ea), (3, 0xb77709bd51ac8c97), (4, 0xd46e4c2c731e1f91), (5, 0x7285dafa8b47da88), (6, 0xe4d939e02f945e2c), (7, 0x16b52c0133f23c1e)]),
-    ("doc_qa", 1, &[(0, 0x5a567c92d82ae60c), (1, 0xbc44e043f5686043), (2, 0x7e79b2b378b0aa7a), (3, 0xa8c6f73f43248128)]),
-    ("doc_qa", 2, &[(0, 0x34292b3bccb31da5), (1, 0x88c551cc63420c16), (2, 0x428d893b30a5544e), (3, 0x7c6afd660fe4e409)]),
-    ("doc_qa", 3, &[(0, 0x4f180975b8c66514), (1, 0xeca6a6a494d79264), (2, 0x669e91dfdae6433f), (3, 0x88cc9d2a7d8a6a32)]),
-    ("doc_qa", 4, &[(0, 0x11673a68768c1508), (1, 0xfb37478357c92fcf), (2, 0x34d66185c5ed2fa7), (3, 0x65b3ff1a6ed0da70)]),
-    ("doc_qa", 5, &[(0, 0x004ff0c416952ade), (1, 0x563c07cb4590a33d), (2, 0x29d7400e2a7bf54d), (3, 0x3c192cccb3d305a8)]),
-    ("doc_qa", 6, &[(0, 0x608037d34fdbc380), (1, 0xbc7b6fc73a323c61), (2, 0x8284c598b3c54937), (3, 0x1b87d3946ff84cc1)]),
-    ("doc_qa", 7, &[(0, 0xbd7b2eacea2b3f65), (1, 0xe1729fc353f9ffb0), (2, 0xbbe2cea8e81aeba3), (3, 0x531d5e6cf5f9cd89)]),
-    ("doc_qa", 8, &[(0, 0x3d14e0b640204ec4), (1, 0xe7f0e0a90dea9809), (2, 0xae697f6e2475623e), (3, 0xd84c5298afa60bd0)]),
-    ("doc_qa", 9, &[(0, 0x49229e201384af82), (1, 0x639c17ea40991a6c), (2, 0x569d892e2660c7f8), (3, 0x57d02f434716faf4)]),
-    ("doc_qa", 10, &[(0, 0x7212431c0a1a589b), (1, 0xe32ae9764e26702e), (2, 0xedbdb69115ae6dbe), (3, 0x08eee6d08120046a)]),
+    ("chat_short", 1, &[(0, 0xa0b24669348514a6), (1, 0xf91ff4513cd5993a), (2, 0x34fe11f87fc93c26), (3, 0x5f759e4a3b9d79ef), (4, 0x52b6ced0be40a8a0), (5, 0x2396db6cc0e44e99), (6, 0x7859a5dcca3b6aa4), (7, 0xd8f96f610e36ced4)]),
+    ("chat_short", 2, &[(0, 0x1e9de4c03c80bbe4), (1, 0x15d58470a6d53e65), (2, 0x7d76f5cf274f06a3), (3, 0x02518e670797ceff), (4, 0xcfdadc97ac49be12), (5, 0x2ffc97115b83f0cd), (6, 0xaf8a66658ebf4ecc), (7, 0xb6d08f503244f52b)]),
+    ("chat_short", 3, &[(0, 0x016999804b3bb121), (1, 0xbbb794adc18accd9), (2, 0xc9f0ad30ef0a59af), (3, 0x1845304ca5a74d4c), (4, 0xe1fa97c32b08d6b3), (5, 0xa618b851450b811b), (6, 0x17323f695baa91d4), (7, 0x2214ae2a079e73fa)]),
+    ("chat_short", 4, &[(0, 0x1c1516dc44881e68), (1, 0xa8b60a816a5dcc4a), (2, 0x8b9ae4cdbcb2d204), (3, 0xbc4afc0d944663c6), (4, 0x27033d874c225ffa), (5, 0x4acc35054ebfb24d), (6, 0xfa7b9d82f116ab56), (7, 0x234902c522e9e078)]),
+    ("chat_short", 5, &[(0, 0x75ae4c8996e9f965), (1, 0x92fbe9a9c644c34d), (2, 0xd45e69bda2685ba7), (3, 0xe2e047cb2e2014a1), (4, 0xf08342fbd8844f81), (5, 0x735e7bd5b95e7a20), (6, 0x9fcde7146b5cfd75), (7, 0x6e5eabc64ef18aec)]),
+    ("chat_short", 6, &[(0, 0x84e17ca854ccdbda), (1, 0xcb07be6fb6c81255), (2, 0x4b7920468f9c029b), (3, 0x96963ceb89b9f369), (4, 0xc3a7becc7ca71904), (5, 0x82e31fc6ae9597b8), (6, 0xf6079edbd5bea9d8), (7, 0xe7fce334c0bd6425)]),
+    ("chat_short", 7, &[(0, 0x91824bf8e12b7f4d), (1, 0xc666ea05a1ddc390), (2, 0x157051646aa3d972), (3, 0xb701c2e120fc34e9), (4, 0x03770276bd03b094), (5, 0x4184103408d13f14), (6, 0x81e4877b906a2abb), (7, 0x3fc90d7424f19162)]),
+    ("chat_short", 8, &[(0, 0x20c7884bbc1cf9f6), (1, 0x38d10dea6803c2f1), (2, 0xbed01b8a28f2ee92), (3, 0x5530723df0c80d51), (4, 0xc25bbd16efa2e583), (5, 0xedde6189f530a6e5), (6, 0x3b08a32930ec4f41), (7, 0x5c5d1c63b1a6fb0e)]),
+    ("chat_short", 9, &[(0, 0x606fdf649d2afcc1), (1, 0x26fb965a6dba1bda), (2, 0xa6519acf10bc623c), (3, 0xf56abcc9897cad17), (4, 0xfbe483fb3e67a740), (5, 0xe2c7703ce47732d2), (6, 0xbda0688fbbdd529c), (7, 0xa26be486186df0c7)]),
+    ("chat_short", 10, &[(0, 0xba0056287f8ddc17), (1, 0x8117e0851e42bfd2), (2, 0x1aefeef049a64f21), (3, 0x2f71173610ca95cc), (4, 0x3d22614fdf088477), (5, 0xf16dccf7da27988e), (6, 0xf1d0b098c0b7dcf5), (7, 0x0a6194729a28d888)]),
+    ("doc_qa", 1, &[(0, 0xb67e224e1a83de52), (1, 0x939c7ed564cd80b9), (2, 0xcb334f0215badbf2), (3, 0xd054d37786531aaa)]),
+    ("doc_qa", 2, &[(0, 0x5cb5ce0ec36d77ff), (1, 0x991152b2214a2574), (2, 0x158007f8e4b7282c), (3, 0x5031b5b84e55722d)]),
+    ("doc_qa", 3, &[(0, 0x2169f2c4d51aa0a9), (1, 0xc126e13d938782b3), (2, 0x7ea9e27324407d22), (3, 0x6a3c097f05cf5bcf)]),
+    ("doc_qa", 4, &[(0, 0x32a5cfacdd22e65a), (1, 0xdac39dcc141a413a), (2, 0xc3cd402d3271d1ae), (3, 0xd709d60e2ee0a28a)]),
+    ("doc_qa", 5, &[(0, 0x0ca233bde3de2bb3), (1, 0xbe8e1b235a2d0be2), (2, 0x426d8c5497482f64), (3, 0x43762ff26ead488d)]),
+    ("doc_qa", 6, &[(0, 0x93b273cabacb0330), (1, 0xd93fa666ff2239b1), (2, 0xe29b7fe4ce9c10a6), (3, 0xeb7efeb0cce47de0)]),
+    ("doc_qa", 7, &[(0, 0xb96e2539aeb22611), (1, 0xeb51916dad555d52), (2, 0x5871f1fc5b8c6e9b), (3, 0x106ebb92fd8fad6f)]),
+    ("doc_qa", 8, &[(0, 0xcc7b3d52063ab51a), (1, 0x70956a063a7ccc5a), (2, 0x176370355549171f), (3, 0xd36021085c836d42)]),
+    ("doc_qa", 9, &[(0, 0x4fab296cf7ffb7ea), (1, 0x4eed8b02c6551b63), (2, 0x0218fda5022b9b12), (3, 0xea50e6e0d267a508)]),
+    ("doc_qa", 10, &[(0, 0xa66902ca1bef5fba), (1, 0x590a858ebbd3ec9d), (2, 0x1c8abad57e2d8ef7), (3, 0xd2fa586075cd8ad6)]),
 ];
 
 /// The pins of `workload` at `seed` (empty if unpinned).

@@ -33,6 +33,14 @@ impl TickRecord {
         self.end_ns.saturating_sub(self.start_ns)
     }
 
+    /// Same contents (tokens and modeled interval), whatever the wall times.
+    pub fn same_work(&self, other: &TickRecord) -> bool {
+        self.prefill_tokens == other.prefill_tokens
+            && self.decode_tokens == other.decode_tokens
+            && self.clock_before.to_bits() == other.clock_before.to_bits()
+            && self.clock_after.to_bits() == other.clock_after.to_bits()
+    }
+
     /// A tick that only decoded.
     pub fn is_decode_only(&self) -> bool {
         self.decode_tokens > 0 && self.prefill_tokens == 0
