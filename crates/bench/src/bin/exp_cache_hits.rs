@@ -73,10 +73,7 @@ fn main() {
             scored_vectors_per_head: (ctx as f64 / 80.0).max(1.0),
             attended_tokens: BUDGET as f64,
             transferred_tokens_per_head: transferred_per_step,
-            transferred_compressed_bytes: 0.0,
-            staged_transfer_bytes: 0.0,
-            retried_transfer_bytes: 0.0,
-            retry_backoff_seconds: 0.0,
+            ..StepCost::default()
         }
     };
 

@@ -123,9 +123,8 @@ fn serve(plan: FaultPlan, policy: RecoveryPolicy) -> ServingReport {
         .with_chunk_tokens(32)
         .with_tick_token_budget(64)
         .with_kv_capacity(Bytes(2 * 108 * cfg.kv_bytes_per_token()))
-        .with_faults(plan)
         .with_max_retries(policy.max_retries);
-    // The same plan drives both layers: the engine injector owns the
+    // The engine's plan drives both layers: the engine injector owns the
     // transfer-retry and corruption sites, the scheduler injector owns
     // crash and pressure.
     let mut sched = Scheduler::new(engine(plan), sched_cfg).expect("valid scheduler config");

@@ -55,10 +55,7 @@ fn clusterkv_cost(budget: usize, transferred_per_step: f64) -> impl Fn(usize) ->
         scored_vectors_per_head: (context_len as f64 / 80.0).max(1.0),
         attended_tokens: budget as f64,
         transferred_tokens_per_head: transferred_per_step,
-        transferred_compressed_bytes: 0.0,
-        staged_transfer_bytes: 0.0,
-        retried_transfer_bytes: 0.0,
-        retry_backoff_seconds: 0.0,
+        ..StepCost::default()
     }
 }
 

@@ -46,10 +46,7 @@ fn clusterkv_cost(budget: usize, transferred_per_step: f64) -> impl Fn(usize) ->
         scored_vectors_per_head: (context_len as f64 / 80.0).max(1.0),
         attended_tokens: budget as f64,
         transferred_tokens_per_head: transferred_per_step,
-        transferred_compressed_bytes: 0.0,
-        staged_transfer_bytes: 0.0,
-        retried_transfer_bytes: 0.0,
-        retry_backoff_seconds: 0.0,
+        ..StepCost::default()
     }
 }
 
@@ -60,10 +57,7 @@ fn infinigen_cost(budget: usize, transferred_per_step: f64) -> impl Fn(usize) ->
         scored_vectors_per_head: context_len as f64 * 0.25,
         attended_tokens: budget as f64,
         transferred_tokens_per_head: transferred_per_step,
-        transferred_compressed_bytes: 0.0,
-        staged_transfer_bytes: 0.0,
-        retried_transfer_bytes: 0.0,
-        retry_backoff_seconds: 0.0,
+        ..StepCost::default()
     }
 }
 
@@ -73,11 +67,7 @@ fn quest_cost(budget: usize) -> impl Fn(usize) -> StepCost {
     move |context_len: usize| StepCost {
         scored_vectors_per_head: context_len as f64 / 16.0,
         attended_tokens: budget as f64,
-        transferred_tokens_per_head: 0.0,
-        transferred_compressed_bytes: 0.0,
-        staged_transfer_bytes: 0.0,
-        retried_transfer_bytes: 0.0,
-        retry_backoff_seconds: 0.0,
+        ..StepCost::default()
     }
 }
 
@@ -131,10 +121,7 @@ fn main() {
             scored_vectors_per_head: ctx as f64 * 0.25,
             attended_tokens: ctx as f64,
             transferred_tokens_per_head: ctx as f64,
-            transferred_compressed_bytes: 0.0,
-            staged_transfer_bytes: 0.0,
-            retried_transfer_bytes: 0.0,
-            retry_backoff_seconds: 0.0,
+            ..StepCost::default()
         });
         let infinigen = opt.run(p, d, None, infinigen_cost(256, ig_recall));
         let clusterkv = opt.run(p, d, Some((p / 80, 10)), clusterkv_cost(256, ckv_recall));

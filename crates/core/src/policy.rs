@@ -604,19 +604,18 @@ mod tests {
 
     #[test]
     fn end_to_end_with_inference_engine() {
-        use clusterkv_model::{InferenceEngine, ModelConfig};
-        let factory = ClusterKvFactory::new(test_config());
-        let mut engine = InferenceEngine::with_synthetic_weights(
-            ModelConfig::tiny(),
-            11,
-            &factory,
-            Budget::new(16),
-        )
-        .unwrap();
+        use clusterkv_model::{ModelConfig, ServeEngine};
+        let mut engine = ServeEngine::builder(ModelConfig::tiny())
+            .synthetic_weights(11)
+            .budget(Budget::new(16))
+            .policy(Box::new(ClusterKvFactory::new(test_config())))
+            .build()
+            .unwrap();
+        let s = engine.create_session().unwrap();
         let prompt: Vec<usize> = (0..40).map(|i| (i * 3) % 128).collect();
-        let generated = engine.generate(&prompt, 5).unwrap();
+        let generated = engine.generate(s, &prompt, 5).unwrap();
         assert_eq!(generated.len(), 5);
-        let stats = engine.policy_stats();
+        let stats = engine.session_stats(s).unwrap();
         assert!(
             stats.scored_vectors > 0,
             "selection ran on selective layers"

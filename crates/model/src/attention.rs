@@ -10,9 +10,12 @@
 //! over all indices. The pre-kernel scalar pipeline survives as
 //! [`attend_selected_reference`] for property tests and benches.
 
+use clusterkv_kvcache::compressed::{compress_page, CompressionConfig};
 use clusterkv_kvcache::KvStore;
 use clusterkv_tensor::kernels::{attend_into, attention_weights_into, Workspace};
 use clusterkv_tensor::ops::{attention_weights, weighted_sum};
+use clusterkv_tensor::Matrix;
+use std::collections::BTreeMap;
 
 /// Output of a single-head attention step.
 ///
@@ -109,6 +112,46 @@ pub fn full_attention_weights(store: &KvStore, query: &[f32]) -> Vec<f32> {
     let mut weights = Vec::with_capacity(store.len());
     attention_weights_into(store.keys(), None, query, &mut weights);
     weights
+}
+
+/// Substitute compressed KV into gathered rows (DESIGN.md §9): `keys` and
+/// `values` hold the rows of `store` at `selected` (row `r` is position
+/// `selected[r]`), and every selected position that belongs to one of
+/// `pages` is overwritten with its page's SLERP-merged,
+/// quantize-round-tripped reconstruction. Other rows (sinks, pending decode
+/// tokens, the position being generated) keep their exact KV.
+///
+/// Each page is reconstructed over its *full* membership from `store`,
+/// never the selection, so the result depends only on `(compression,
+/// membership, stored KV)`. Returns the pages' exact bytes, compressed
+/// bytes and merged pairs, summed.
+pub fn substitute_compressed<'a>(
+    store: &KvStore,
+    selected: &[usize],
+    pages: impl IntoIterator<Item = &'a [usize]>,
+    compression: CompressionConfig,
+    keys: &mut Matrix,
+    values: &mut Matrix,
+) -> (u64, u64, u64) {
+    let row_of: BTreeMap<usize, usize> = selected
+        .iter()
+        .enumerate()
+        .map(|(row, &pos)| (pos, row))
+        .collect();
+    let mut totals = (0, 0, 0);
+    for members in pages {
+        let page = compress_page(store.keys(), store.values(), members, compression);
+        totals.0 += page.exact_bytes.get();
+        totals.1 += page.compressed_bytes.get();
+        totals.2 += page.merged_pairs as u64;
+        for (i, pos) in members.iter().enumerate() {
+            if let Some(&row) = row_of.get(pos) {
+                keys.row_mut(row).copy_from_slice(page.keys.row(i));
+                values.row_mut(row).copy_from_slice(page.values.row(i));
+            }
+        }
+    }
+    totals
 }
 
 /// The pre-kernel-layer scalar attention pipeline (iterator logits via

@@ -21,8 +21,9 @@ use clusterkv_kvcache::device::{DeviceModel, Seconds};
 use clusterkv_kvcache::types::Bytes;
 use serde::{Deserialize, Serialize};
 
-/// Per-decoding-step cost descriptor of a selection policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Per-decoding-step cost descriptor of a selection policy. The all-zero
+/// [`Default`] is a step that streams the weights and nothing else.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct StepCost {
     /// Number of `head_dim`-dimensional vectors scored against the query per
     /// selective-layer head (centroids for ClusterKV, pages for Quest,
@@ -66,13 +67,8 @@ impl StepCost {
     /// Cost of full-KV attention with the cache resident in GPU memory.
     pub fn full_kv(context_len: usize) -> Self {
         Self {
-            scored_vectors_per_head: 0.0,
             attended_tokens: context_len as f64,
-            transferred_tokens_per_head: 0.0,
-            transferred_compressed_bytes: 0.0,
-            staged_transfer_bytes: 0.0,
-            retried_transfer_bytes: 0.0,
-            retry_backoff_seconds: 0.0,
+            ..Self::default()
         }
     }
 
@@ -95,15 +91,7 @@ impl StepCost {
     ) -> Self {
         let selective = (config.num_layers - config.dense_layers) as f64;
         if selective == 0.0 {
-            return Self {
-                scored_vectors_per_head: 0.0,
-                attended_tokens: 0.0,
-                transferred_tokens_per_head: 0.0,
-                transferred_compressed_bytes: 0.0,
-                staged_transfer_bytes: 0.0,
-                retried_transfer_bytes: 0.0,
-                retry_backoff_seconds: 0.0,
-            };
+            return Self::default();
         }
         Self {
             scored_vectors_per_head: scored as f64 / (selective * config.num_heads as f64),
@@ -114,8 +102,7 @@ impl StepCost {
             // reconstruction round-trip.
             transferred_compressed_bytes: compressed_bytes as f64,
             staged_transfer_bytes: staged_bytes as f64,
-            retried_transfer_bytes: 0.0,
-            retry_backoff_seconds: 0.0,
+            ..Self::default()
         }
     }
 
@@ -422,10 +409,7 @@ mod tests {
                 scored_vectors_per_head: 400.0,
                 attended_tokens: 1024.0,
                 transferred_tokens_per_head: 300.0,
-                transferred_compressed_bytes: 0.0,
-                staged_transfer_bytes: 0.0,
-                retried_transfer_bytes: 0.0,
-                retry_backoff_seconds: 0.0,
+                ..StepCost::default()
             },
         );
         assert!(
@@ -452,10 +436,7 @@ mod tests {
             scored_vectors_per_head: 400.0,
             attended_tokens: 1024.0,
             transferred_tokens_per_head: 300.0,
-            transferred_compressed_bytes: 0.0,
-            staged_transfer_bytes: 0.0,
-            retried_transfer_bytes: 0.0,
-            retry_backoff_seconds: 0.0,
+            ..StepCost::default()
         };
         let t8k = m.decode_step(8_000, &cost);
         let t32k = m.decode_step(32_000, &cost);
@@ -493,10 +474,7 @@ mod tests {
             scored_vectors_per_head: (ctx / 80) as f64,
             attended_tokens: 1024.0,
             transferred_tokens_per_head: 0.37 * 1024.0,
-            transferred_compressed_bytes: 0.0,
-            staged_transfer_bytes: 0.0,
-            retried_transfer_bytes: 0.0,
-            retry_backoff_seconds: 0.0,
+            ..StepCost::default()
         });
         let speedup = full.total.get() / clusterkv.total.get();
         assert!(speedup > 1.3 && speedup < 4.0, "speedup {speedup}");
@@ -543,9 +521,7 @@ mod tests {
             attended_tokens: 1024.0,
             transferred_tokens_per_head: 300.0,
             transferred_compressed_bytes: 128.0,
-            staged_transfer_bytes: 0.0,
-            retried_transfer_bytes: 0.0,
-            retry_backoff_seconds: 0.0,
+            ..StepCost::default()
         };
         let bd = m.decode_step_breakdown(32_000, &cost);
         assert_eq!(bd.staged, Seconds::zero());
@@ -565,10 +541,7 @@ mod tests {
             scored_vectors_per_head: 400.0,
             attended_tokens: 1024.0,
             transferred_tokens_per_head: 300.0,
-            transferred_compressed_bytes: 0.0,
-            staged_transfer_bytes: 0.0,
-            retried_transfer_bytes: 0.0,
-            retry_backoff_seconds: 0.0,
+            ..StepCost::default()
         };
         // A small staged transfer finishes well inside the compute window:
         // the step costs exactly what it did without staging, and the whole
@@ -607,11 +580,7 @@ mod tests {
         let base = StepCost {
             scored_vectors_per_head: 400.0,
             attended_tokens: 1024.0,
-            transferred_tokens_per_head: 0.0,
-            transferred_compressed_bytes: 0.0,
-            staged_transfer_bytes: 0.0,
-            retried_transfer_bytes: 0.0,
-            retry_backoff_seconds: 0.0,
+            ..StepCost::default()
         };
         let exact = StepCost {
             transferred_tokens_per_head: 300.0,

@@ -17,8 +17,6 @@
 //!   cache.
 //! * [`serve`] — the serving engine: weights loaded once, N independent
 //!   sessions, batched decode ([`ServeEngine`]).
-//! * [`engine`] — [`InferenceEngine`], the single-session adapter over the
-//!   serving engine.
 //! * [`trace`] — recording of per-step attention weights (token-importance
 //!   traces behind Fig. 3a / Fig. 11).
 //! * [`latency`] — the analytical latency/throughput model behind Fig. 12 and
@@ -30,7 +28,9 @@
 
 pub mod attention;
 pub mod config;
-pub mod engine;
+#[cfg(test)]
+#[path = "engine_tests.rs"]
+mod engine;
 pub mod latency;
 pub mod policy;
 pub mod prefetch;
@@ -40,7 +40,6 @@ pub mod trace;
 pub mod weights;
 
 pub use config::{ModelConfig, ModelPreset};
-pub use engine::InferenceEngine;
 pub use latency::{DecodeStepBreakdown, InferenceBreakdown, LatencyModel};
 pub use policy::{
     CompressedPageRequest, FullAttentionSelector, KvResidency, ObserveEvent, PageRequest,

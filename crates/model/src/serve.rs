@@ -11,7 +11,11 @@
 //! The per-token transformer math matches the single-sequence flow of the
 //! paper (Fig. 5): full causal attention during prefill, per-head
 //! selection-plan attention during decoding, with the head's selector
-//! observing every produced key.
+//! observing every produced key. Every decode entry point
+//! ([`decode_step`](ServeEngine::decode_step),
+//! [`generate`](ServeEngine::generate)) goes through [`decode_batch`], which
+//! runs one fixed step per session: forward → observe → settle → stage →
+//! faults → price → logits (DESIGN.md §4).
 //!
 //! Execution is multithreaded (DESIGN.md §4): [`decode_batch`] fans the
 //! batch's distinct sessions across the rayon pool (sessions are fully
@@ -24,16 +28,13 @@
 //! count (`RAYON_NUM_THREADS`).
 //!
 //! [`decode_batch`]: ServeEngine::decode_batch
-//!
-//! [`InferenceEngine`](crate::engine::InferenceEngine) is a thin
-//! single-session adapter over this type.
 
-use crate::attention::full_attention_weights;
+use crate::attention::{full_attention_weights, substitute_compressed};
 use crate::config::ModelConfig;
 use crate::latency::{LatencyModel, StepCost};
 use crate::policy::{
-    CompressedPageRequest, FullAttentionSelector, HeadContext, KvResidency, ObserveEvent,
-    PolicyStats, SelectionRequest, SelectorFactory, TokenSelector,
+    FullAttentionSelector, HeadContext, KvResidency, ObserveEvent, PolicyStats, SelectionRequest,
+    SelectorFactory, TokenSelector,
 };
 use crate::prefetch::{PrefetchConfig, PrefetchPredictor};
 use crate::rope::Rope;
@@ -41,7 +42,7 @@ use crate::trace::{AttentionTrace, TraceStep};
 use crate::weights::ModelWeights;
 use clusterkv_faults::{backoff_seconds, FaultInjector, FaultPlan, FaultSite, IntegrityStats};
 use clusterkv_kvcache::cluster_cache::{ClusterCache, ClusterCacheConfig};
-use clusterkv_kvcache::compressed::{compress_page, CompressionConfig};
+use clusterkv_kvcache::compressed::CompressionConfig;
 use clusterkv_kvcache::device::{DeviceModel, Seconds};
 use clusterkv_kvcache::prefix::{PrefixStore, PrefixStoreConfig, PrefixStoreStats};
 use clusterkv_kvcache::stats::{CompressionStats, PrefetchStats};
@@ -319,17 +320,6 @@ enum SessionPhase {
     Ready,
 }
 
-/// Per-step policy knobs shared by every session of an engine: the
-/// selection budget, the speculative-prefetch configuration, and the
-/// deterministic fault injector. Bundled so the sessionless decode entry
-/// points stay at a readable arity.
-#[derive(Debug, Clone, Copy)]
-struct StepPolicy {
-    budget: Budget,
-    prefetch: PrefetchConfig,
-    faults: FaultInjector,
-}
-
 /// Totals one decode step accumulates across every selective-layer head,
 /// mapped onto a [`StepCost`] after the step to price its latency.
 #[derive(Debug, Clone, Copy, Default)]
@@ -441,8 +431,7 @@ struct SessionState {
     integrity: IntegrityStats,
 }
 
-/// Builder for [`ServeEngine`], replacing the positional
-/// `InferenceEngine::new(config, weights, factory, budget)` constructor.
+/// Builder for [`ServeEngine`].
 pub struct ServeEngineBuilder {
     config: ModelConfig,
     weights: Option<ModelWeights>,
@@ -605,12 +594,13 @@ impl ServeEngineBuilder {
         let weights = self
             .weights
             .unwrap_or_else(|| ModelWeights::synthetic(&self.config, self.synthetic_seed));
-        let rope = Rope::new(self.config.head_dim, 10_000.0);
-        let latency = LatencyModel::new(self.config, self.device);
         Ok(ServeEngine {
-            config: self.config,
-            weights,
-            rope,
+            model: Model {
+                config: self.config,
+                weights,
+                rope: Rope::new(self.config.head_dim, 10_000.0),
+                latency: LatencyModel::new(self.config, self.device),
+            },
             budget: self.budget,
             policy: self.policy,
             sessions: BTreeMap::new(),
@@ -627,18 +617,25 @@ impl ServeEngineBuilder {
                     head_dim: self.config.head_dim,
                 })
             }),
-            latency,
             injector: FaultInjector::new(self.faults),
         })
     }
 }
 
-/// A decoder-only transformer serving N independent sequences with per-head
-/// KV-selection policies.
-pub struct ServeEngine {
+/// The model, loaded once and shared read-only by every session and decode
+/// worker: its shape, weights, RoPE tables and the roofline pricing of a
+/// decode step.
+struct Model {
     config: ModelConfig,
     weights: ModelWeights,
     rope: Rope,
+    latency: LatencyModel,
+}
+
+/// A decoder-only transformer serving N independent sequences with per-head
+/// KV-selection policies.
+pub struct ServeEngine {
+    model: Model,
     budget: Budget,
     policy: Option<Box<dyn SelectorFactory>>,
     sessions: BTreeMap<u64, SessionState>,
@@ -653,8 +650,6 @@ pub struct ServeEngine {
     prefetch: PrefetchConfig,
     /// Cross-session shared-prefix pages (`None` = every session cold).
     prefix: Option<PrefixStore>,
-    /// Roofline pricing of modeled per-step decode latency.
-    latency: LatencyModel,
     /// Deterministic fault injector driving the recovery seams
     /// (DESIGN.md §11); a disabled plan makes every decision a no-op.
     injector: FaultInjector,
@@ -663,7 +658,7 @@ pub struct ServeEngine {
 impl std::fmt::Debug for ServeEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServeEngine")
-            .field("config", &self.config)
+            .field("config", &self.model.config)
             .field("budget", &self.budget)
             .field("policy", &self.policy.as_ref().map(|p| p.name()))
             .field("sessions", &self.sessions.len())
@@ -691,7 +686,7 @@ impl ServeEngine {
 
     /// Model configuration in use.
     pub fn config(&self) -> &ModelConfig {
-        &self.config
+        &self.model.config
     }
 
     /// KV cache budget used for selection.
@@ -737,7 +732,7 @@ impl ServeEngine {
         // consulted while `self` is otherwise borrowed.
         let selectors = {
             let factory = self.policy.as_deref().expect("checked above");
-            Self::make_selectors(&self.config, factory)
+            Self::make_selectors(&self.model.config, factory)
         };
         self.insert_session(selectors)
     }
@@ -752,7 +747,7 @@ impl ServeEngine {
         &mut self,
         factory: &dyn SelectorFactory,
     ) -> Result<SessionId, EngineError> {
-        let selectors = Self::make_selectors(&self.config, factory);
+        let selectors = Self::make_selectors(&self.model.config, factory);
         self.insert_session(selectors)
     }
 
@@ -788,10 +783,10 @@ impl ServeEngine {
                 max: self.max_sessions,
             });
         }
-        let kv = (0..self.config.num_layers)
+        let kv = (0..self.model.config.num_layers)
             .map(|_| {
-                (0..self.config.num_kv_heads)
-                    .map(|_| KvStore::new(self.config.head_dim))
+                (0..self.model.config.num_kv_heads)
+                    .map(|_| KvStore::new(self.model.config.head_dim))
                     .collect()
             })
             .collect();
@@ -809,7 +804,7 @@ impl ServeEngine {
                 next_input: None,
                 stats: PolicyStats::default(),
                 cache: ClusterCache::new(
-                    ClusterCacheConfig::new(self.kv_cache_capacity, self.config.head_dim)
+                    ClusterCacheConfig::new(self.kv_cache_capacity, self.model.config.head_dim)
                         .with_compression(self.compression)
                         .with_staging(if self.prefetch.enabled() {
                             self.prefetch.staging_capacity
@@ -828,7 +823,7 @@ impl ServeEngine {
                 fastpath_prefix_tokens: 0,
                 pinned_prompt: Vec::new(),
                 integrity: IntegrityStats::default(),
-                workspaces: (0..self.config.num_heads)
+                workspaces: (0..self.model.config.num_heads)
                     .map(|_| Workspace::new())
                     .collect(),
                 concat: Vec::new(),
@@ -855,10 +850,10 @@ impl ServeEngine {
             }
         }
         let shared_kv_bytes =
-            Bytes(sess.matched_prefix_tokens as u64 * self.config.kv_bytes_per_token());
+            Bytes(sess.matched_prefix_tokens as u64 * self.model.config.kv_bytes_per_token());
         let private_kv_bytes = Bytes(
             (sess.num_tokens - sess.matched_prefix_tokens) as u64
-                * self.config.kv_bytes_per_token(),
+                * self.model.config.kv_bytes_per_token(),
         );
         let mut integrity = sess.integrity;
         integrity.merge(&sess.cache.integrity());
@@ -1041,13 +1036,6 @@ impl ServeEngine {
         self.prefetch
     }
 
-    /// Cap the bytes every decode step may stage from here on. The
-    /// scheduler calls this each tick to divide its per-tick prefetch byte
-    /// budget across the decode batch; a no-op while prefetch is disabled.
-    pub fn set_prefetch_step_bytes(&mut self, bytes: Bytes) {
-        self.prefetch.step_bytes = bytes;
-    }
-
     /// Prefetch accounting of a session's staging buffer so far (staged /
     /// used / wasted bytes — all zero with prefetch disabled).
     ///
@@ -1104,7 +1092,7 @@ impl ServeEngine {
     /// and decode steps on the configured device). The serving scheduler
     /// uses this to advance its modeled clock.
     pub fn latency_model(&self) -> &LatencyModel {
-        &self.latency
+        &self.model.latency
     }
 
     /// Whether a session has finished prefill and is decodable.
@@ -1167,7 +1155,7 @@ impl ServeEngine {
     /// [`decode_batch`](Self::decode_batch) cannot fail mid-batch on a bad
     /// injected token).
     pub fn set_next_input(&mut self, id: SessionId, token: usize) -> Result<(), EngineError> {
-        let vocab = self.config.vocab_size;
+        let vocab = self.model.config.vocab_size;
         let sess = self.session_mut(id)?;
         if sess.phase != SessionPhase::Ready {
             return Err(EngineError::NotPrefilled);
@@ -1202,72 +1190,24 @@ impl ServeEngine {
         clusterkv_tensor::kernels::par_matvec_rows(w, 0..rows, v, PROJ_MIN_ROWS_PER_WORKER)
     }
 
-    /// Attend `query` over the gathered selected tokens, substituting the
-    /// compressed (SLERP-merged, quantize-round-tripped) representation for
-    /// every selected token belonging to one of the plan's pages
-    /// (DESIGN.md §9). Tokens outside the pages — sinks, pending decode
-    /// tokens, the position being generated — keep their exact KV.
-    ///
-    /// Per-page reconstruction runs over the page's *full* membership from
-    /// the backing store, never the selection or cache state, so the result
-    /// depends only on `(compression, membership, stored KV)` and phase-1
-    /// head parallelism stays order-free.
-    fn attend_compressed(
-        store: &KvStore,
-        selected: &[usize],
-        pages: &[CompressedPageRequest],
-        compression: CompressionConfig,
-        query: &[f32],
-        weights: &mut Vec<f32>,
-        out: &mut [f32],
-    ) {
-        let mut k_sel = store.keys().select_rows(selected);
-        let mut v_sel = store.values().select_rows(selected);
-        let row_of: BTreeMap<usize, usize> = selected
-            .iter()
-            .enumerate()
-            .map(|(row, &pos)| (pos, row))
-            .collect();
-        for page in pages {
-            let cp = compress_page(store.keys(), store.values(), &page.members, compression);
-            for (i, &pos) in page.members.iter().enumerate() {
-                if let Some(&row) = row_of.get(&pos) {
-                    k_sel.row_mut(row).copy_from_slice(cp.keys.row(i));
-                    v_sel.row_mut(row).copy_from_slice(cp.values.row(i));
-                }
-            }
-        }
-        attend_into(&k_sel, &v_sel, None, query, weights, out);
-    }
-
-    /// Run one token of one session through the transformer. `use_selection`
-    /// is false during prefill (full causal attention) and true during
-    /// decoding.
+    /// Run one token of one session through the transformer. Prefill passes
+    /// `decode: None` (full causal attention); a decode step passes its
+    /// selection budget and prefetch configuration. Callers validate the
+    /// token and the context fit upfront.
     fn forward_token(
-        config: &ModelConfig,
-        weights: &ModelWeights,
-        rope: &Rope,
-        policy: StepPolicy,
+        model: &Model,
         sess: &mut SessionState,
         token: usize,
-        use_selection: bool,
-    ) -> Result<Vec<f32>, EngineError> {
-        let StepPolicy {
-            budget, prefetch, ..
-        } = policy;
+        decode: Option<(Budget, PrefetchConfig)>,
+    ) -> Vec<f32> {
+        let Model {
+            config,
+            weights,
+            rope,
+            ..
+        } = model;
         let position = sess.num_tokens;
-        if position >= config.max_context {
-            return Err(EngineError::ContextOverflow {
-                requested: position + 1,
-                max: config.max_context,
-            });
-        }
-        if token >= config.vocab_size {
-            return Err(EngineError::TokenOutOfVocab {
-                token,
-                vocab: config.vocab_size,
-            });
-        }
+        debug_assert!(position < config.max_context && token < config.vocab_size);
         let mut x = weights.embedding.row(token).to_vec();
         let head_dim = config.head_dim;
         let num_heads = config.num_heads;
@@ -1329,59 +1269,62 @@ impl ServeEngine {
                     rope.apply(&mut ws.q, position);
                     let store = &kv_layer[Self::kv_head_of(config, head)];
                     let n = store.len();
-                    let (selected, stats, pages, compressed_pages, hint) = if use_selection {
-                        let plan = selector.plan(SelectionRequest::new(&ws.q, n, budget));
-                        // The lookahead nomination runs right after the plan,
-                        // against the same query: a pure read re-ranking
-                        // cluster centroids under a widened budget. Only the
-                        // Lookahead predictor pays for it.
-                        let hint = if prefetch.enabled()
-                            && prefetch.predictor == PrefetchPredictor::Lookahead
-                        {
-                            selector.prefetch_hint(
-                                SelectionRequest::new(&ws.q, n, budget),
-                                prefetch.lookahead_tokens,
-                            )
-                        } else {
-                            Vec::new()
-                        };
-                        let mut sel = plan.indices;
-                        // The token being generated always attends to
-                        // itself: its KV was just produced on the GPU and is
-                        // not subject to selection (policies may not even
-                        // have observed it yet).
-                        if !sel.contains(&position) {
-                            sel.push(position);
-                        }
-                        let (pages, cpages) = match plan.residency {
-                            KvResidency::Paged(pages) => (Some(pages), None),
-                            KvResidency::Compressed(cpages) => {
-                                let inner = cpages.iter().map(|p| p.request).collect();
-                                (Some(inner), Some(cpages))
+                    let (selected, stats, pages, compressed_pages, hint) =
+                        if let Some((budget, prefetch)) = decode {
+                            let plan = selector.plan(SelectionRequest::new(&ws.q, n, budget));
+                            // The lookahead nomination runs right after the plan,
+                            // against the same query: a pure read re-ranking
+                            // cluster centroids under a widened budget. Only the
+                            // Lookahead predictor pays for it.
+                            let hint = if prefetch.enabled()
+                                && prefetch.predictor == PrefetchPredictor::Lookahead
+                            {
+                                selector.prefetch_hint(
+                                    SelectionRequest::new(&ws.q, n, budget),
+                                    prefetch.lookahead_tokens,
+                                )
+                            } else {
+                                Vec::new()
+                            };
+                            let mut sel = plan.indices;
+                            // The token being generated always attends to
+                            // itself: its KV was just produced on the GPU and is
+                            // not subject to selection (policies may not even
+                            // have observed it yet).
+                            if !sel.contains(&position) {
+                                sel.push(position);
                             }
-                            KvResidency::Resident => (None, None),
+                            let (pages, cpages) = match plan.residency {
+                                KvResidency::Paged(pages) => (Some(pages), None),
+                                KvResidency::Compressed(cpages) => {
+                                    let inner = cpages.iter().map(|p| p.request).collect();
+                                    (Some(inner), Some(cpages))
+                                }
+                                KvResidency::Resident => (None, None),
+                            };
+                            (sel, Some(plan.stats), pages, cpages, hint)
+                        } else {
+                            // Prefill: full causal attention through the
+                            // dedicated no-index-vec path (no `(0..n)` vector).
+                            (Vec::new(), None, None, None, Vec::new())
                         };
-                        (sel, Some(plan.stats), pages, cpages, hint)
-                    } else {
-                        // Prefill: full causal attention through the
-                        // dedicated no-index-vec path (no `(0..n)` vector).
-                        (Vec::new(), None, None, None, Vec::new())
-                    };
                     if let Some(cpages) = &compressed_pages {
                         // Recall-compressed attention (DESIGN.md §9): attend
                         // through the merged + quantize-round-tripped KV of
                         // the plan's pages, exact KV elsewhere. Depends only
                         // on (config, page membership, stored values), so it
                         // is order-free across heads and thread counts.
-                        Self::attend_compressed(
+                        let mut k_sel = store.keys().select_rows(&selected);
+                        let mut v_sel = store.values().select_rows(&selected);
+                        substitute_compressed(
                             store,
                             &selected,
-                            cpages,
+                            cpages.iter().map(|p| p.members.as_slice()),
                             compression,
-                            &ws.q,
-                            &mut ws.weights,
-                            slot,
+                            &mut k_sel,
+                            &mut v_sel,
                         );
+                        attend_into(&k_sel, &v_sel, None, &ws.q, &mut ws.weights, slot);
                     } else {
                         let indices = stats.as_ref().map(|_| selected.as_slice());
                         attend_into(
@@ -1440,7 +1383,7 @@ impl ServeEngine {
                     // widened-budget hint. Pushed in (layer, head) order by
                     // this sequential phase, so the staging order — and
                     // hence every staging-LRU stamp — is deterministic.
-                    if prefetch.enabled() {
+                    if decode.is_some_and(|(_, prefetch)| prefetch.enabled()) {
                         if let Some(pages) = outcome.pages.take() {
                             sess.nominations.push((layer, head, pages));
                         }
@@ -1486,7 +1429,7 @@ impl ServeEngine {
         }
 
         sess.num_tokens += 1;
-        Ok(rms_norm(&x, &weights.final_norm, 1e-6))
+        rms_norm(&x, &weights.final_norm, 1e-6)
     }
 
     /// Admit pages whose KV was just produced on the GPU (prefill
@@ -1584,15 +1527,13 @@ impl ServeEngine {
         chunk: &[usize],
     ) -> Result<Vec<f32>, EngineError> {
         let Self {
-            config,
-            weights,
-            rope,
-            budget,
+            model,
             sessions,
             prefix,
             injector,
             ..
         } = self;
+        let config = &model.config;
         let sess = sessions
             .get_mut(&id.0)
             .ok_or(EngineError::UnknownSession(id))?;
@@ -1696,19 +1637,7 @@ impl ServeEngine {
         }
         let mut last = Vec::new();
         for &token in &chunk[fast..] {
-            last = Self::forward_token(
-                config,
-                weights,
-                rope,
-                StepPolicy {
-                    budget: *budget,
-                    prefetch: PrefetchConfig::disabled(),
-                    faults: *injector,
-                },
-                sess,
-                token,
-                false,
-            )?;
+            last = Self::forward_token(model, sess, token, None);
         }
         // Notify selectors of the chunk's keys (per query head, sharing one
         // copy of the associated KV head's chunk rows across its query-head
@@ -1756,11 +1685,12 @@ impl ServeEngine {
     /// forwarded).
     pub fn finish_prefill(&mut self, id: SessionId) -> Result<(), EngineError> {
         let Self {
-            config,
+            model,
             sessions,
             prefix,
             ..
         } = self;
+        let config = &model.config;
         let sess = sessions
             .get_mut(&id.0)
             .ok_or(EngineError::UnknownSession(id))?;
@@ -1865,61 +1795,31 @@ impl ServeEngine {
         Ok(last)
     }
 
-    fn decode_session(&mut self, id: SessionId) -> Result<DecodeOutput, EngineError> {
-        let Self {
-            config,
-            weights,
-            rope,
-            budget,
-            prefetch,
-            sessions,
-            latency,
-            injector,
-            ..
-        } = self;
-        let sess = sessions
-            .get_mut(&id.0)
-            .ok_or(EngineError::UnknownSession(id))?;
-        Self::decode_one(
-            config,
-            weights,
-            rope,
-            StepPolicy {
-                budget: *budget,
-                prefetch: *prefetch,
-                faults: *injector,
-            },
-            latency,
-            id,
-            sess,
-        )
-    }
-
-    /// Advance one session by one decoding step. Free of `&mut self` so
-    /// [`decode_batch`](Self::decode_batch) can run disjoint sessions on
-    /// different threads against the shared (read-only) model state.
+    /// Advance one session by one decoding step, in a fixed stage order:
+    /// forward → observe → settle → stage → faults → price → logits. The
+    /// stage and faults steps run only when prefetch and fault injection are
+    /// enabled. [`decode_batch`](Self::decode_batch) validated the session
+    /// upfront; this is free of `&mut self` so disjoint sessions can run on
+    /// different threads against the shared, read-only [`Model`].
     fn decode_one(
-        config: &ModelConfig,
-        weights: &ModelWeights,
-        rope: &Rope,
-        policy: StepPolicy,
-        latency: &LatencyModel,
+        model: &Model,
+        budget: Budget,
+        prefetch: PrefetchConfig,
+        injector: FaultInjector,
         id: SessionId,
         sess: &mut SessionState,
-    ) -> Result<DecodeOutput, EngineError> {
-        let StepPolicy { prefetch, .. } = policy;
-        if sess.phase != SessionPhase::Ready {
-            return Err(EngineError::NotPrefilled);
-        }
-        let token = sess.next_input.ok_or(EngineError::NotPrefilled)?;
+    ) -> DecodeOutput {
+        let config = &model.config;
+        let token = sess
+            .next_input
+            .expect("decode_batch validated the pending input");
         let position = sess.num_tokens;
         sess.step = StepAccounting::default();
-        let hidden = Self::forward_token(config, weights, rope, policy, sess, token, true)?;
+        let hidden = Self::forward_token(model, sess, token, Some((budget, prefetch)));
 
-        // Notify selectors of the new keys appended at `position` — parallel
-        // across the independent (layer, head) selectors, one key snapshot
-        // per KV head. Incremental clustering (ClusterKV's periodic k-means
-        // over the decode buffer) runs inside these observes.
+        // Notify selectors of the new keys appended at `position`, one key
+        // snapshot per KV head. Incremental clustering (ClusterKV's periodic
+        // k-means over the decode buffer) runs inside these observes.
         let group = config.num_heads / config.num_kv_heads;
         let key_per_layer: Vec<Vec<Vec<f32>>> = (config.dense_layers..config.num_layers)
             .map(|layer| {
@@ -1928,125 +1828,128 @@ impl ServeEngine {
                     .collect()
             })
             .collect();
-        sess.selectors[config.dense_layers..]
-            .iter_mut()
-            .enumerate()
-            .flat_map(|(li, heads)| {
-                heads
-                    .iter_mut()
-                    .enumerate()
-                    .map(move |(head, sel)| (li, head, sel))
-            })
-            .collect::<Vec<_>>()
-            .into_par_iter()
-            .with_min_len(1)
-            .for_each(|(li, head, sel)| {
-                sel.observe(ObserveEvent::Append {
-                    position,
-                    key: &key_per_layer[li][head / group],
-                });
+        Self::observe_selective(config, sess, |li, head, sel| {
+            sel.observe(ObserveEvent::Append {
+                position,
+                key: &key_per_layer[li][head / group],
             });
-        // New KV (and any freshly created clusters) was produced on-device;
-        // settle what stays resident, then stage this step's nominations for
-        // the next step. Staging runs after settlement so freshly admitted
-        // pages are already resident (stage() skips them), and drains the
-        // nominations in the (layer, head) order phase 2 pushed them —
-        // deterministic staging-LRU stamps at any thread count.
+        });
+        // New KV (and any freshly created clusters) was produced on-device:
+        // settle what stays resident before staging, so freshly admitted
+        // pages are already resident (stage() skips them).
         Self::settle_session_memory(config, sess);
         if prefetch.enabled() {
-            let mut budget_left = prefetch.step_bytes;
-            for (layer, head, pages) in sess.nominations.drain(..) {
-                if budget_left.get() == 0 {
-                    continue; // keep draining so no stale nominations survive
-                }
-                let moved = sess
-                    .cache
-                    .stage(LayerId(layer), HeadId(head), &pages, budget_left);
-                sess.step.staged_bytes += moved.get();
-                budget_left = Bytes(budget_left.get() - moved.get());
-            }
+            Self::stage(prefetch.step_bytes, sess);
         }
-        // Deterministic fault injection (DESIGN.md §11). Every decision is a
-        // pure function of (plan seed, site, session id, position), so the
-        // schedule is bit-identical across runs, chunkings and thread
-        // counts. Faults only add modeled time (retried bytes, backoff) and
-        // checksum churn; the KV payloads a step attends are untouched, so
-        // token streams match the faults-off run byte for byte.
-        let injector = policy.faults;
         if injector.enabled() {
-            let step_key = id.raw().wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ position as u64;
-            // Modeled transfer failures: this step's demand recall is
-            // re-sent (attempts - 1) extra times, each preceded by an
-            // exponential-backoff wait charged to the modeled clock.
-            let demand_bytes = sess.step.transferred * (4 * config.head_dim) as u64
-                + sess.step.transferred_compressed_bytes;
-            if demand_bytes > 0 {
-                let attempts = injector.transfer_attempts(FaultSite::DemandRecall, step_key);
-                if attempts > 1 {
-                    let retries = u64::from(attempts - 1);
-                    let retried = retries * demand_bytes;
-                    let backoff = backoff_seconds(injector.plan().backoff_base, attempts);
-                    sess.step.retried_bytes += retried;
-                    sess.step.backoff_seconds += backoff;
-                    sess.integrity.record_retries(retries, retried, backoff);
-                }
-            }
-            // Checksum corruption of a resident page, scrubbed in the same
-            // step: detection re-seals the tag from the pristine backing
-            // rows and the re-fetch is charged as retried demand traffic.
-            if injector.should_corrupt(FaultSite::DemandRecall, step_key)
-                && sess.cache.corrupt_resident_page(step_key)
-            {
-                let repaired = sess.cache.scrub();
-                sess.step.retried_bytes += repaired.get();
-            }
+            Self::inject_faults(config, injector, id, position, sess);
         }
-        // Price the step. With the overlap clock, miss tokens promoted out
-        // of the staging buffer leave the demand term (their transfer was
-        // charged — overlapped — by the step that staged them) and this
-        // step's staged bytes enter the overlap term. Without overlap (or
-        // with prefetch off) the raw totals reproduce the pure-sum clock
-        // bit for bit.
-        let (transferred, compressed_bytes, staged_bytes) =
-            if prefetch.enabled() && prefetch.overlap {
-                (
-                    sess.step.transferred - sess.step.promoted_tokens,
-                    sess.step.transferred_compressed_bytes - sess.step.promoted_compressed_bytes,
-                    sess.step.staged_bytes,
-                )
-            } else {
-                (
-                    sess.step.transferred,
-                    sess.step.transferred_compressed_bytes,
-                    0,
-                )
-            };
-        let cost = StepCost::from_step_totals(
-            config,
-            sess.step.scored,
-            sess.step.attended,
-            transferred,
-            compressed_bytes,
-            staged_bytes,
-        )
-        .with_retries(sess.step.retried_bytes, sess.step.backoff_seconds);
-        let breakdown = latency.decode_step_breakdown(sess.num_tokens, &cost);
-        sess.modeled_decode += breakdown.total;
-        sess.hidden_transfer += breakdown.hidden();
-        sess.transfer_time += breakdown.staged + breakdown.demand;
+        Self::price(model, prefetch.enabled() && prefetch.overlap, sess);
 
         // Tied-embedding logits (blocked matvec, row-chunk-parallel over the
         // vocabulary).
-        let logits = Self::par_rows_matvec(&weights.embedding, &hidden, config.vocab_size);
+        let logits = Self::par_rows_matvec(&model.weights.embedding, &hidden, config.vocab_size);
         let next_token = argmax(&logits).unwrap_or(0);
         sess.generated_tokens += 1;
         sess.next_input = Some(next_token);
-        Ok(DecodeOutput {
+        DecodeOutput {
             session: id,
             next_token,
             logits,
             hidden,
-        })
+        }
+    }
+
+    /// Stage this step's nominations for the next step, at most `step_bytes`
+    /// in total. Drains the nominations in the (layer, head) order phase 2
+    /// pushed them, so staging-LRU stamps are deterministic at any thread
+    /// count.
+    fn stage(step_bytes: Bytes, sess: &mut SessionState) {
+        let mut budget_left = step_bytes;
+        for (layer, head, pages) in sess.nominations.drain(..) {
+            if budget_left.get() == 0 {
+                continue; // keep draining so no stale nominations survive
+            }
+            let moved = sess
+                .cache
+                .stage(LayerId(layer), HeadId(head), &pages, budget_left);
+            sess.step.staged_bytes += moved.get();
+            budget_left = Bytes(budget_left.get() - moved.get());
+        }
+    }
+
+    /// Deterministic fault injection for one decode step (DESIGN.md §11).
+    /// Every decision is a pure function of (plan seed, site, session id,
+    /// position), so the schedule is bit-identical across runs, chunkings
+    /// and thread counts. Faults only add modeled time (retried bytes,
+    /// backoff) and checksum churn; the KV payloads a step attends are
+    /// untouched, so token streams match the faults-off run byte for byte.
+    fn inject_faults(
+        config: &ModelConfig,
+        injector: FaultInjector,
+        id: SessionId,
+        position: usize,
+        sess: &mut SessionState,
+    ) {
+        let step_key = id.raw().wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ position as u64;
+        // Modeled transfer failures: this step's demand recall is re-sent
+        // (attempts - 1) extra times, each preceded by an exponential-backoff
+        // wait charged to the modeled clock.
+        let demand_bytes = sess.step.transferred * (4 * config.head_dim) as u64
+            + sess.step.transferred_compressed_bytes;
+        if demand_bytes > 0 {
+            let attempts = injector.transfer_attempts(FaultSite::DemandRecall, step_key);
+            if attempts > 1 {
+                let retries = u64::from(attempts - 1);
+                let retried = retries * demand_bytes;
+                let backoff = backoff_seconds(injector.plan().backoff_base, attempts);
+                sess.step.retried_bytes += retried;
+                sess.step.backoff_seconds += backoff;
+                sess.integrity.record_retries(retries, retried, backoff);
+            }
+        }
+        // Checksum corruption of a resident page, scrubbed in the same step:
+        // detection re-seals the tag from the pristine backing rows and the
+        // re-fetch is charged as retried demand traffic.
+        if injector.should_corrupt(FaultSite::DemandRecall, step_key)
+            && sess.cache.corrupt_resident_page(step_key)
+        {
+            let repaired = sess.cache.scrub();
+            sess.step.retried_bytes += repaired.get();
+        }
+    }
+
+    /// Price the step just run onto the session's modeled clocks: the one
+    /// place a step's [`StepAccounting`] becomes a [`StepCost`]. With the
+    /// `overlap` clock, miss tokens promoted out of the staging buffer leave
+    /// the demand term (their transfer was charged, overlapped, by the step
+    /// that staged them) and this step's staged bytes enter the overlap
+    /// term. Without overlap the raw totals reproduce the pure-sum clock bit
+    /// for bit.
+    fn price(model: &Model, overlap: bool, sess: &mut SessionState) {
+        let step = sess.step;
+        let (transferred, compressed_bytes, staged_bytes) = if overlap {
+            (
+                step.transferred - step.promoted_tokens,
+                step.transferred_compressed_bytes - step.promoted_compressed_bytes,
+                step.staged_bytes,
+            )
+        } else {
+            (step.transferred, step.transferred_compressed_bytes, 0)
+        };
+        let cost = StepCost::from_step_totals(
+            &model.config,
+            step.scored,
+            step.attended,
+            transferred,
+            compressed_bytes,
+            staged_bytes,
+        )
+        .with_retries(step.retried_bytes, step.backoff_seconds);
+        let breakdown = model.latency.decode_step_breakdown(sess.num_tokens, &cost);
+        sess.modeled_decode += breakdown.total;
+        sess.hidden_transfer += breakdown.hidden();
+        sess.transfer_time += breakdown.staged + breakdown.demand;
     }
 
     /// Run one decoding step for a session with an explicit input token
@@ -2062,7 +1965,7 @@ impl ServeEngine {
         token: usize,
     ) -> Result<DecodeOutput, EngineError> {
         self.set_next_input(id, token)?;
-        self.decode_session(id)
+        Ok(self.decode_batch(&[id])?.remove(0))
     }
 
     /// Advance every listed session by one decoding step, each consuming its
@@ -2097,10 +2000,10 @@ impl ServeEngine {
             // Input tokens are validated on entry (argmax continuations and
             // `set_next_input` both stay inside the vocabulary), so the only
             // way a step can fail after this point is running out of context.
-            if sess.num_tokens + *steps > self.config.max_context {
+            if sess.num_tokens + *steps > self.model.config.max_context {
                 return Err(EngineError::ContextOverflow {
                     requested: sess.num_tokens + *steps,
-                    max: self.config.max_context,
+                    max: self.model.config.max_context,
                 });
             }
         }
@@ -2112,21 +2015,14 @@ impl ServeEngine {
             slots_per_id.entry(id.0).or_default().push(slot);
         }
         let Self {
-            config,
-            weights,
-            rope,
+            model,
             budget,
             prefetch,
             sessions,
-            latency,
             injector,
             ..
         } = self;
-        let policy = StepPolicy {
-            budget: *budget,
-            prefetch: *prefetch,
-            faults: *injector,
-        };
+        let (budget, prefetch, injector) = (*budget, *prefetch, *injector);
         // The session table is a BTreeMap, so the work list (and thus chunk
         // assignment) is id-ordered structurally — no post-hoc sort needed.
         let work: Vec<(u64, Vec<usize>, &mut SessionState)> = sessions
@@ -2135,10 +2031,9 @@ impl ServeEngine {
             .collect();
 
         // Fan distinct sessions across the pool; inside one unit the steps
-        // run in batch order. Every tool the step needs (`config`, weights,
-        // RoPE tables, the latency model) is shared immutably; all mutable
+        // run in batch order. The model is shared immutably; all mutable
         // state is per-session and moves into exactly one unit.
-        let per_session: Vec<Vec<(usize, Result<DecodeOutput, EngineError>)>> = work
+        let per_session: Vec<Vec<(usize, DecodeOutput)>> = work
             .into_par_iter()
             .with_min_len(1)
             .map(|(raw, slots, sess)| {
@@ -2146,24 +2041,18 @@ impl ServeEngine {
                 slots
                     .into_iter()
                     .map(|slot| {
-                        (
-                            slot,
-                            Self::decode_one(config, weights, rope, policy, latency, id, sess),
-                        )
+                        let out = Self::decode_one(model, budget, prefetch, injector, id, sess);
+                        (slot, out)
                     })
                     .collect()
             })
             .collect();
 
-        // Scatter the per-session outputs back into batch order.
-        let mut out: Vec<Option<DecodeOutput>> = ids.iter().map(|_| None).collect();
-        for (slot, result) in per_session.into_iter().flatten() {
-            out[slot] = Some(result?);
-        }
-        Ok(out
-            .into_iter()
-            .map(|o| o.expect("every batch slot is produced by exactly one session unit"))
-            .collect())
+        // Gather the per-session outputs back into batch order (every slot
+        // is produced by exactly one session unit).
+        let mut outs: Vec<(usize, DecodeOutput)> = per_session.into_iter().flatten().collect();
+        outs.sort_unstable_by_key(|&(slot, _)| slot);
+        Ok(outs.into_iter().map(|(_, out)| out).collect())
     }
 
     /// Greedily generate `steps` tokens for a session after prefilling it
@@ -2202,16 +2091,16 @@ impl ServeEngine {
         // full span here makes mid-generation failure impossible.
         let start = self.session(id)?.num_tokens;
         let requested = start + prompt.len() + steps;
-        if requested > self.config.max_context {
+        if requested > self.model.config.max_context {
             return Err(EngineError::ContextOverflow {
                 requested,
-                max: self.config.max_context,
+                max: self.model.config.max_context,
             });
         }
         self.prefill(id, prompt)?;
         let mut out = Vec::with_capacity(steps);
         for _ in 0..steps {
-            out.push(self.decode_session(id)?.next_token);
+            out.push(self.decode_batch(&[id])?[0].next_token);
         }
         Ok(out)
     }
@@ -2220,7 +2109,9 @@ impl ServeEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{FullAttentionFactory, OracleTopKFactory, SelectionPlan};
+    use crate::policy::{
+        CompressedPageRequest, FullAttentionFactory, OracleTopKFactory, SelectionPlan,
+    };
 
     fn tiny_serve(budget: usize) -> ServeEngine {
         ServeEngine::builder(ModelConfig::tiny())
@@ -2453,10 +2344,37 @@ mod tests {
         ));
         assert_eq!(eng.context_len(s).unwrap(), 0);
         assert_eq!(eng.kv_store(s, 0, 0).unwrap().len(), 0);
-        // ...so a corrected retry starts from a clean session.
+        // ...so a corrected retry starts from a clean session, and fills
+        // every (layer, kv_head) store.
         eng.prefill(s, &[1, 2, 3, 4]).unwrap();
         assert_eq!(eng.context_len(s).unwrap(), 4);
-        assert_eq!(eng.kv_store(s, 0, 0).unwrap().len(), 4);
+        for layer in 0..eng.config().num_layers {
+            for kv_head in 0..eng.config().num_kv_heads {
+                assert_eq!(eng.kv_store(s, layer, kv_head).unwrap().len(), 4);
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_vocab_token_errors() {
+        let mut eng = tiny_serve(64);
+        let s = eng.create_session().unwrap();
+        let err = eng.prefill(s, &[9999]).unwrap_err();
+        assert!(matches!(err, EngineError::TokenOutOfVocab { .. }));
+        assert!(err.to_string().contains("9999"));
+    }
+
+    #[test]
+    fn context_overflow_is_detected() {
+        let mut cfg = ModelConfig::tiny();
+        cfg.max_context = 4;
+        let mut eng = ServeEngine::builder(cfg)
+            .policy(Box::new(FullAttentionFactory))
+            .build()
+            .unwrap();
+        let s = eng.create_session().unwrap();
+        let err = eng.prefill(s, &[1, 2, 3, 4, 5]).unwrap_err();
+        assert!(matches!(err, EngineError::ContextOverflow { .. }));
     }
 
     #[test]
@@ -2762,6 +2680,129 @@ mod tests {
         let sb = eng.session_stats(b).unwrap();
         assert!(sa.scored_vectors > 0, "a decoded and accumulated stats");
         assert_eq!(sb.scored_vectors, 0, "b never decoded");
+    }
+
+    #[test]
+    fn decode_step_matches_single_session_decode_batch() {
+        // `decode_step` is `set_next_input` plus `decode_batch(&[id])`: two
+        // identical engines driven one way each give the same outputs,
+        // accounting and errors.
+        let mut cfg = ModelConfig::tiny();
+        cfg.max_context = 8;
+        let build = || {
+            ServeEngine::builder(cfg)
+                .synthetic_weights(7)
+                .budget(Budget::new(4))
+                .policy(Box::new(OracleTopKFactory))
+                .build()
+                .unwrap()
+        };
+        let (mut step, mut batch) = (build(), build());
+        let a = step.create_session().unwrap();
+        let b = batch.create_session().unwrap();
+        assert_eq!(
+            step.decode_step(a, 1).unwrap_err(),
+            EngineError::NotPrefilled
+        );
+        assert_eq!(
+            batch.decode_batch(&[b]).unwrap_err(),
+            EngineError::NotPrefilled
+        );
+        step.prefill(a, &[1, 2, 3, 4, 5]).unwrap();
+        batch.prefill(b, &[1, 2, 3, 4, 5]).unwrap();
+        // The last prompt token is the pending input of the first step.
+        let mut token = 5;
+        for _ in 0..3 {
+            let x = step.decode_step(a, token).unwrap();
+            let y = batch.decode_batch(&[b]).unwrap().remove(0);
+            assert_eq!(x.next_token, y.next_token);
+            assert_eq!(x.logits, y.logits);
+            assert_eq!(x.hidden, y.hidden);
+            token = x.next_token;
+        }
+        assert_eq!(step.session_stats(a), batch.session_stats(b));
+        assert_eq!(
+            step.modeled_decode_time(a).unwrap().get().to_bits(),
+            batch.modeled_decode_time(b).unwrap().get().to_bits()
+        );
+        // 5 prompt + 3 generated tokens fill the context.
+        let overflow = EngineError::ContextOverflow {
+            requested: 9,
+            max: 8,
+        };
+        assert_eq!(step.decode_step(a, token).unwrap_err(), overflow);
+        assert_eq!(batch.decode_batch(&[b]).unwrap_err(), overflow);
+        step.release(a).unwrap();
+        batch.release(b).unwrap();
+        assert_eq!(
+            step.decode_step(a, token).unwrap_err(),
+            EngineError::UnknownSession(a)
+        );
+        assert_eq!(
+            batch.decode_batch(&[b]).unwrap_err(),
+            EngineError::UnknownSession(b)
+        );
+    }
+
+    #[test]
+    fn oracle_with_large_budget_matches_full_attention() {
+        // When the budget covers the whole context, top-k selection selects
+        // everything and generation must match full attention exactly.
+        let mut full = ServeEngine::builder(ModelConfig::tiny())
+            .synthetic_weights(7)
+            .budget(Budget::new(512))
+            .policy(Box::new(FullAttentionFactory))
+            .build()
+            .unwrap();
+        let mut oracle = tiny_serve(512);
+        let (f, o) = (
+            full.create_session().unwrap(),
+            oracle.create_session().unwrap(),
+        );
+        let prompt = [5, 9, 13, 17, 21, 25];
+        assert_eq!(
+            full.generate(f, &prompt, 5).unwrap(),
+            oracle.generate(o, &prompt, 5).unwrap()
+        );
+    }
+
+    #[test]
+    fn trace_records_selected_and_full_weights() {
+        let mut eng = tiny_serve(3);
+        let s = eng.create_session().unwrap();
+        eng.enable_trace(s, 1, 0).unwrap();
+        eng.prefill(s, &[2, 4, 6, 8, 10, 12]).unwrap();
+        eng.decode_step(s, 1).unwrap();
+        eng.decode_step(s, 1).unwrap();
+        let trace = eng.trace(s, 1, 0).unwrap();
+        assert_eq!(trace.len(), 2);
+        // At the first decode step the context has the 6 prompt tokens plus
+        // the token being generated (which always attends to itself).
+        assert_eq!(trace.steps[0].full_weights.len(), 7);
+        assert!(trace.steps[0].selected.contains(&6));
+        assert!(trace.steps[0].selected.len() <= 4); // budget 3 + current token
+    }
+
+    #[test]
+    fn dense_layers_ignore_budget() {
+        let mut cfg = ModelConfig::tiny();
+        cfg.dense_layers = 1;
+        let mut eng = ServeEngine::builder(cfg)
+            .synthetic_weights(7)
+            .budget(Budget::new(2))
+            .policy(Box::new(OracleTopKFactory))
+            .build()
+            .unwrap();
+        let s = eng.create_session().unwrap();
+        eng.enable_trace(s, 0, 0).unwrap(); // dense layer
+        eng.enable_trace(s, 1, 0).unwrap(); // selective layer
+        eng.prefill(s, &[1, 2, 3, 4, 5, 6, 7, 8]).unwrap();
+        eng.decode_batch(&[s]).unwrap();
+        // The dense layer attends to the full context (9 tokens including
+        // the current one) while the selective layer respects the budget of
+        // 2 tokens plus the always-attended current token.
+        assert_eq!(eng.trace(s, 0, 0).unwrap().steps[0].selected.len(), 9);
+        assert_eq!(eng.trace(s, 1, 0).unwrap().steps[0].selected.len(), 3);
     }
 
     fn tiny_serve_with_prefix(budget: usize) -> ServeEngine {
@@ -3177,30 +3218,23 @@ mod tests {
     #[test]
     fn prefetch_step_byte_cap_throttles_staging() {
         let prompt: Vec<usize> = (0..24).map(|i| (i * 3 + 2) % 128).collect();
-        let mut eng = prefetch_engine(
-            Bytes(512),
-            PrefetchConfig::reuse_last(Bytes(1 << 20)).with_step_bytes(Bytes(0)),
-        );
-        let s = eng.create_session().unwrap();
-        let choked = eng.generate(s, &prompt, 6).unwrap();
+        let run = |prefetch: PrefetchConfig| {
+            let mut eng = prefetch_engine(Bytes(512), prefetch);
+            let s = eng.create_session().unwrap();
+            let stream = eng.generate(s, &prompt, 6).unwrap();
+            let times = eng.session_transfer_times(s).unwrap();
+            (stream, eng.session_prefetch_stats(s).unwrap(), times)
+        };
+        let free = PrefetchConfig::reuse_last(Bytes(1 << 20));
+        let (choked, choked_stats, _) = run(free.with_step_bytes(Bytes(0)));
         assert_eq!(
-            eng.session_prefetch_stats(s).unwrap(),
+            choked_stats,
             PrefetchStats::new(),
             "a zero per-step budget stages nothing"
         );
-        // Lifting the cap mid-flight starts staging without touching tokens.
-        eng.set_prefetch_step_bytes(Bytes(u64::MAX));
-        assert_eq!(eng.prefetch_config().step_bytes, Bytes(u64::MAX));
-        for _ in 0..6 {
-            eng.decode_batch(&[s]).unwrap();
-        }
-        assert!(eng.session_prefetch_stats(s).unwrap().staged_pages > 0);
-        let (hidden, total) = eng.session_transfer_times(s).unwrap();
+        let (free_stream, free_stats, (hidden, total)) = run(free);
+        assert!(free_stats.staged_pages > 0);
         assert!(total >= hidden);
-
-        let mut free = prefetch_engine(Bytes(512), PrefetchConfig::reuse_last(Bytes(1 << 20)));
-        let fs = free.create_session().unwrap();
-        let free_stream = free.generate(fs, &prompt, 6).unwrap();
         assert_eq!(choked, free_stream, "step budget must not change tokens");
     }
 

@@ -30,12 +30,12 @@
 
 #![warn(missing_docs)]
 
-use clusterkv_faults::{FaultInjector, FaultPlan, IntegrityStats};
+use clusterkv_faults::{FaultInjector, IntegrityStats};
 use clusterkv_kvcache::device::Seconds;
 use clusterkv_kvcache::types::Bytes;
 use clusterkv_metrics::RequestRow;
 use clusterkv_model::latency::StepCost;
-use clusterkv_model::{EngineError, ServeEngine, SessionId};
+use clusterkv_model::{EngineError, ServeEngine, SessionId, SessionReport};
 use serde::{Deserialize, Serialize};
 
 /// Default prefill chunk size (tokens per session per tick), matching the
@@ -169,17 +169,6 @@ pub struct SchedConfig {
     /// worst-case KV footprint (`(prompt + max_new_tokens) ·
     /// kv_bytes_per_token`) never exceeds this. `None` disables the bound.
     pub kv_capacity: Option<Bytes>,
-    /// Per-tick byte budget for speculative prefetch staging, divided
-    /// evenly across the tick's decode batch (integer division — the split
-    /// is deterministic in the batch size). `None` leaves the engine's own
-    /// per-step cap untouched; irrelevant unless the engine was built with
-    /// prefetch enabled (DESIGN.md §10).
-    pub prefetch_bytes_per_tick: Option<Bytes>,
-    /// Deterministic fault plan driving the scheduler's recovery seams:
-    /// whole-session crash faults (checkpoint-release + bounded retry) and
-    /// capacity-shrink pressure events (the degradation ladder). Defaults
-    /// to [`FaultPlan::disabled`], under which every seam is a no-op.
-    pub faults: FaultPlan,
     /// Cap on crash-retry re-admissions per request; a request that
     /// crashes more than this many times is reported as
     /// [`RequestOutcome::Cancelled`].
@@ -196,8 +185,6 @@ impl SchedConfig {
             chunk_tokens: DEFAULT_CHUNK_TOKENS,
             tick_token_budget: DEFAULT_TICK_TOKEN_BUDGET,
             kv_capacity: None,
-            prefetch_bytes_per_tick: None,
-            faults: FaultPlan::disabled(),
             max_retries: 2,
         }
     }
@@ -223,20 +210,6 @@ impl SchedConfig {
     /// Bound admission by total worst-case KV bytes of running requests.
     pub fn with_kv_capacity(mut self, capacity: Bytes) -> Self {
         self.kv_capacity = Some(capacity);
-        self
-    }
-
-    /// Cap speculative prefetch staging at `budget` bytes per tick, split
-    /// evenly across the tick's decode batch.
-    pub fn with_prefetch_bytes_per_tick(mut self, budget: Bytes) -> Self {
-        self.prefetch_bytes_per_tick = Some(budget);
-        self
-    }
-
-    /// Drive the scheduler's recovery seams from a fault plan (crash
-    /// faults, pressure events).
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
         self
     }
 
@@ -382,6 +355,40 @@ pub struct RequestMetrics {
 }
 
 impl RequestMetrics {
+    /// Metrics of a request that ended in `outcome`, carrying its released
+    /// session's cache, prefetch and integrity accounting (all zero for
+    /// `None`: the request never held a session). The timeline starts
+    /// empty — admitted and finished at arrival, no tokens — for the caller
+    /// to fill in.
+    fn new(
+        id: RequestId,
+        arrival: Seconds,
+        prompt_len: usize,
+        priority: u32,
+        retries: u32,
+        outcome: RequestOutcome,
+        report: Option<&SessionReport>,
+    ) -> Self {
+        Self {
+            id,
+            arrival,
+            admitted_at: arrival,
+            first_token_at: None,
+            finished_at: arrival,
+            prompt_len,
+            tokens: Vec::new(),
+            priority,
+            cache_hit_rate: report.map_or(0.0, SessionReport::cache_hit_rate),
+            bytes_recalled: report.map_or(Bytes(0), SessionReport::bytes_recalled),
+            shared_prefix_tokens: report.map_or(0, |s| s.shared_prefix_tokens),
+            prefetch_accuracy: report.map_or(0.0, SessionReport::prefetch_accuracy),
+            hidden_transfer_fraction: report.map_or(0.0, SessionReport::hidden_transfer_fraction),
+            outcome,
+            retries,
+            integrity: report.map_or_else(IntegrityStats::default, |s| s.integrity),
+        }
+    }
+
     /// Time to first token: arrival → first generated token
     /// ([`Seconds::zero`] for requests cancelled before their first token —
     /// never negative, never NaN).
@@ -575,8 +582,9 @@ pub struct Scheduler {
     /// Modeled cost of streaming the weights once (one fused decode batch
     /// pays it once, not once per session) — see [`Scheduler::tick`].
     weight_stream: Seconds,
-    /// Deterministic fault injector driving crash faults and pressure
-    /// events (a disabled plan makes every recovery seam a no-op).
+    /// Deterministic fault injector over the engine's
+    /// [`fault_plan`](ServeEngine::fault_plan), driving crash faults and
+    /// pressure events (a disabled plan makes every recovery seam a no-op).
     injector: FaultInjector,
 }
 
@@ -595,7 +603,8 @@ impl std::fmt::Debug for Scheduler {
 impl Scheduler {
     /// Wrap an engine. The engine must have a default selection policy
     /// (sessions are created at admission) and session capacity for
-    /// `config.max_sessions`.
+    /// `config.max_sessions`. The engine's fault plan also drives the
+    /// scheduler's crash and capacity-pressure seams.
     ///
     /// # Errors
     ///
@@ -634,22 +643,8 @@ impl Scheduler {
                 "engine needs a default selection policy (ServeEngineBuilder::policy)".into(),
             ));
         }
-        config
-            .faults
-            .validate()
-            .map_err(SchedError::InvalidConfig)?;
-        let weight_stream = engine.latency_model().decode_step(
-            0,
-            &StepCost {
-                scored_vectors_per_head: 0.0,
-                attended_tokens: 0.0,
-                transferred_tokens_per_head: 0.0,
-                transferred_compressed_bytes: 0.0,
-                staged_transfer_bytes: 0.0,
-                retried_transfer_bytes: 0.0,
-                retry_backoff_seconds: 0.0,
-            },
-        );
+        let weight_stream = engine.latency_model().decode_step(0, &StepCost::default());
+        let injector = FaultInjector::new(engine.fault_plan());
         Ok(Self {
             engine,
             config,
@@ -660,7 +655,7 @@ impl Scheduler {
             running: Vec::new(),
             completed: Vec::new(),
             weight_stream,
-            injector: FaultInjector::new(config.faults),
+            injector,
         })
     }
 
@@ -1033,14 +1028,6 @@ impl Scheduler {
                 .iter()
                 .map(|&i| self.running[i].session)
                 .collect();
-            // Divide the tick's prefetch byte budget across the batch:
-            // every decode step this tick may stage at most its even share
-            // (integer division, so the split depends only on the batch
-            // size — deterministic across runs and thread counts).
-            if let Some(total) = self.config.prefetch_bytes_per_tick {
-                self.engine
-                    .set_prefetch_step_bytes(Bytes(total.get() / ids.len() as u64));
-            }
             let before: Vec<Seconds> = ids
                 .iter()
                 .map(|&s| self.engine.modeled_decode_time(s))
@@ -1110,7 +1097,8 @@ impl Scheduler {
                         "crash retry budget exhausted ({} runs)",
                         u64::from(r.retries) + 1
                     );
-                    self.record_terminal(r, RequestOutcome::Cancelled { reason }, Some(&report));
+                    let terminal = RequestOutcome::Cancelled { reason };
+                    self.record_terminal(r, self.clock, terminal, &report);
                 } else {
                     outcome.retried.push(r.id);
                     self.requeue(r);
@@ -1131,24 +1119,7 @@ impl Scheduler {
                     RequestOutcome::Completed
                 };
                 let finished_at = r.last_token_at;
-                self.completed.push(RequestMetrics {
-                    id: r.id,
-                    arrival: r.arrival,
-                    admitted_at: r.admitted_at,
-                    first_token_at: r.first_token_at,
-                    finished_at,
-                    prompt_len: r.prompt.len(),
-                    tokens: r.tokens,
-                    priority: r.priority,
-                    cache_hit_rate: report.cache_hit_rate(),
-                    bytes_recalled: report.bytes_recalled(),
-                    shared_prefix_tokens: report.shared_prefix_tokens,
-                    prefetch_accuracy: report.prefetch_accuracy(),
-                    hidden_transfer_fraction: report.hidden_transfer_fraction(),
-                    outcome: terminal,
-                    retries: r.retries,
-                    integrity: report.integrity,
-                });
+                self.record_terminal(r, finished_at, terminal, &report);
             } else {
                 i += 1;
             }
@@ -1167,7 +1138,7 @@ impl Scheduler {
                 let r = self.running.remove(i);
                 let report = self.engine.release(r.session)?;
                 outcome.cancelled.push(r.id);
-                self.record_terminal(r, RequestOutcome::TimedOut, Some(&report));
+                self.record_terminal(r, now, RequestOutcome::TimedOut, &report);
             } else {
                 i += 1;
             }
@@ -1178,22 +1149,17 @@ impl Scheduler {
                 let w = self.waiting.remove(i);
                 outcome.cancelled.push(w.id);
                 self.completed.push(RequestMetrics {
-                    id: w.id,
-                    arrival: w.arrival,
                     admitted_at: w.admitted_at.unwrap_or(now),
-                    first_token_at: None,
                     finished_at: now,
-                    prompt_len: w.prompt.len(),
-                    tokens: Vec::new(),
-                    priority: w.priority,
-                    cache_hit_rate: 0.0,
-                    bytes_recalled: Bytes(0),
-                    shared_prefix_tokens: 0,
-                    prefetch_accuracy: 0.0,
-                    hidden_transfer_fraction: 0.0,
-                    outcome: RequestOutcome::TimedOut,
-                    retries: w.retries,
-                    integrity: IntegrityStats::default(),
+                    ..RequestMetrics::new(
+                        w.id,
+                        w.arrival,
+                        w.prompt.len(),
+                        w.priority,
+                        w.retries,
+                        RequestOutcome::TimedOut,
+                        None,
+                    )
                 });
             } else {
                 i += 1;
@@ -1206,33 +1172,32 @@ impl Scheduler {
         Ok(outcome)
     }
 
-    /// Record the terminal metrics of a request that did not run to
-    /// completion (crash-cancelled or timed out), carrying over whatever
-    /// the released session reported.
+    /// Record the terminal metrics of an admitted request (completed,
+    /// crash-cancelled or timed out) that ended at `finished_at`, carrying
+    /// over what its released session reported.
     // analyzer: recovery-path
     fn record_terminal(
         &mut self,
         r: Running,
+        finished_at: Seconds,
         outcome: RequestOutcome,
-        report: Option<&clusterkv_model::SessionReport>,
+        report: &SessionReport,
     ) {
+        let metrics = RequestMetrics::new(
+            r.id,
+            r.arrival,
+            r.prompt.len(),
+            r.priority,
+            r.retries,
+            outcome,
+            Some(report),
+        );
         self.completed.push(RequestMetrics {
-            id: r.id,
-            arrival: r.arrival,
             admitted_at: r.admitted_at,
             first_token_at: r.first_token_at,
-            finished_at: self.clock,
-            prompt_len: r.prompt.len(),
+            finished_at,
             tokens: r.tokens,
-            priority: r.priority,
-            cache_hit_rate: report.map_or(0.0, |s| s.cache_hit_rate()),
-            bytes_recalled: report.map_or(Bytes(0), |s| s.bytes_recalled()),
-            shared_prefix_tokens: report.map_or(0, |s| s.shared_prefix_tokens),
-            prefetch_accuracy: report.map_or(0.0, |s| s.prefetch_accuracy()),
-            hidden_transfer_fraction: report.map_or(0.0, |s| s.hidden_transfer_fraction()),
-            outcome,
-            retries: r.retries,
-            integrity: report.map_or_else(IntegrityStats::default, |s| s.integrity),
+            ..metrics
         });
     }
 
@@ -1296,16 +1261,22 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clusterkv_faults::FaultPlan;
     use clusterkv_kvcache::types::Budget;
     use clusterkv_model::policy::OracleTopKFactory;
     use clusterkv_model::ModelConfig;
     use proptest::prelude::*;
 
     fn engine() -> ServeEngine {
+        faulty_engine(FaultPlan::disabled())
+    }
+
+    fn faulty_engine(plan: FaultPlan) -> ServeEngine {
         ServeEngine::builder(ModelConfig::tiny())
             .synthetic_weights(13)
             .budget(Budget::new(16))
             .policy(Box::new(OracleTopKFactory))
+            .faults(plan)
             .build()
             .unwrap()
     }
@@ -1383,14 +1354,10 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_tick_budget_divides_across_the_batch_and_fills_metrics() {
+    fn prefetch_step_budget_fills_metrics() {
         use clusterkv_model::PrefetchConfig;
-        let run = |prefetch: PrefetchConfig, tick_budget: Option<Bytes>| {
-            let mut cfg = SchedConfig::fcfs(4);
-            if let Some(b) = tick_budget {
-                cfg = cfg.with_prefetch_bytes_per_tick(b);
-            }
-            let mut sched = Scheduler::new(paged_engine(prefetch), cfg).unwrap();
+        let run = |prefetch: PrefetchConfig| {
+            let mut sched = Scheduler::new(paged_engine(prefetch), SchedConfig::fcfs(4)).unwrap();
             for i in 0..3 {
                 sched
                     .submit(request(16 + i, 6, 0, i as f64 * 1e-6))
@@ -1398,12 +1365,9 @@ mod tests {
             }
             sched.run().unwrap()
         };
-        let off = run(PrefetchConfig::disabled(), None);
-        let on = run(
-            PrefetchConfig::reuse_last(Bytes(1 << 20)),
-            Some(Bytes(1 << 20)),
-        );
-        let choked = run(PrefetchConfig::reuse_last(Bytes(1 << 20)), Some(Bytes(0)));
+        let off = run(PrefetchConfig::disabled());
+        let on = run(PrefetchConfig::reuse_last(Bytes(1 << 20)));
+        let choked = run(PrefetchConfig::reuse_last(Bytes(1 << 20)).with_step_bytes(Bytes(0)));
         for (a, b) in off.requests.iter().zip(&on.requests) {
             assert_eq!(a.tokens, b.tokens, "prefetch must not change tokens");
         }
@@ -1417,7 +1381,7 @@ mod tests {
             assert!((0.0..=1.0).contains(&r.prefetch_accuracy));
             assert!((0.0..=1.0).contains(&r.hidden_transfer_fraction));
         }
-        // Zero per-tick budget chokes staging entirely; prefetch-off
+        // A zero per-step budget chokes staging entirely; prefetch-off
         // engines report hard zeros (PR 8 zero-guard convention).
         for r in choked.requests.iter().chain(&off.requests) {
             assert_eq!(r.prefetch_accuracy, 0.0);
@@ -1425,10 +1389,7 @@ mod tests {
             assert!(!r.prefetch_accuracy.is_nan());
         }
         // Determinism: the same budgeted run repeats bit-identically.
-        let again = run(
-            PrefetchConfig::reuse_last(Bytes(1 << 20)),
-            Some(Bytes(1 << 20)),
-        );
+        let again = run(PrefetchConfig::reuse_last(Bytes(1 << 20)));
         assert_eq!(on, again);
     }
 
@@ -1851,15 +1812,10 @@ mod tests {
             .budget(Budget::new(16))
             .policy(Box::new(OracleTopKFactory))
             .prefix_store(Bytes(1 << 20))
+            .faults(plan)
             .build()
             .unwrap();
-        Scheduler::new(
-            engine,
-            SchedConfig::fcfs(4)
-                .with_faults(plan)
-                .with_max_retries(max_retries),
-        )
-        .unwrap()
+        Scheduler::new(engine, SchedConfig::fcfs(4).with_max_retries(max_retries)).unwrap()
     }
 
     /// Completed token streams keyed by request id, for parity checks.
@@ -2011,10 +1967,8 @@ mod tests {
             let capacity = Bytes(60 * kv_per_token);
             let run = |plan: FaultPlan| {
                 let mut sched = Scheduler::new(
-                    engine(),
-                    SchedConfig::fcfs(3)
-                        .with_kv_capacity(capacity)
-                        .with_faults(plan),
+                    faulty_engine(plan),
+                    SchedConfig::fcfs(3).with_kv_capacity(capacity),
                 )
                 .unwrap();
                 for i in 0..5 {

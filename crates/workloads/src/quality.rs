@@ -3,9 +3,9 @@
 //!
 //! [`run_episode_quality`] mirrors the plain [`harness`](crate::harness)
 //! decode loop but attends over *compressed-reconstructed* KV wherever a
-//! token lives in a cold page: pages are compressed with
-//! [`compress_page`] exactly as the serving engine does on a compressed
-//! recall, the reconstructed rows are substituted into the selected set, and
+//! token lives in a cold page: [`substitute_compressed`] swaps the
+//! reconstructed rows into the selected set exactly as the serving engine
+//! does on a compressed recall, and
 //! the attention-output error is measured against exact full attention. The
 //! per-page byte accounting accumulates into an accuracy-vs-memory point —
 //! one [`QualityResult`] per (method, compression config) — from which
@@ -28,17 +28,17 @@ use crate::harness::EpisodeResult;
 use crate::language_modeling::{BASE_PERPLEXITY, ERROR_SENSITIVITY};
 use crate::longbench::LongBenchProfile;
 use crate::semantic::Episode;
-use clusterkv_kvcache::compressed::{compress_page, CompressionConfig};
+use clusterkv_kvcache::compressed::CompressionConfig;
 use clusterkv_kvcache::types::Budget;
 use clusterkv_kvcache::KvStore;
-use clusterkv_model::attention::attend_full;
+use clusterkv_model::attention::{attend_full, substitute_compressed};
 use clusterkv_model::policy::{
     KvResidency, ObserveEvent, PolicyStats, SelectionRequest, TokenSelector,
 };
 use clusterkv_tensor::kernels::attend_into;
 use clusterkv_tensor::vector::top_k_indices;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Weight of the attention-output error in [`quality_perplexity`]. Selection
 /// misses (recall) and reconstruction error (quantization / merging) degrade
@@ -204,7 +204,7 @@ fn relative_error(full: &[f32], approx: &[f32]) -> f32 {
 /// The decode loop matches the plain harness step for step: plan, measure
 /// recall of the true top-`B` tokens, measure attention-output error — but
 /// the error is computed after substituting every selected row that lives in
-/// a cold page with its [`compress_page`] reconstruction (the engine's
+/// a cold page with its [`substitute_compressed`] reconstruction (the engine's
 /// compressed-recall path, [`ServeEngine`] §9). Recall-compressed plans
 /// contribute their cluster memberships as pages; other plans use
 /// `lane.block_tokens`-sized positional blocks over the selected tokens.
@@ -273,23 +273,17 @@ pub fn run_episode_quality(
         let mut weights = Vec::with_capacity(selected.len());
         let mut exact_out = vec![0.0f32; head_dim];
         attend_into(&k_sel, &v_sel, None, query, &mut weights, &mut exact_out);
-        let row_of: BTreeMap<usize, usize> = selected
-            .iter()
-            .enumerate()
-            .map(|(row, &pos)| (pos, row))
-            .collect();
-        for members in &groups {
-            let page = compress_page(store.keys(), store.values(), members, lane.compression);
-            exact_bytes += page.exact_bytes.get();
-            compressed_bytes += page.compressed_bytes.get();
-            merged_pairs += page.merged_pairs as u64;
-            for (i, &pos) in members.iter().enumerate() {
-                if let Some(&row) = row_of.get(&pos) {
-                    k_sel.row_mut(row).copy_from_slice(page.keys.row(i));
-                    v_sel.row_mut(row).copy_from_slice(page.values.row(i));
-                }
-            }
-        }
+        let (exact, compressed, merged) = substitute_compressed(
+            &store,
+            &selected,
+            groups.iter().map(Vec::as_slice),
+            lane.compression,
+            &mut k_sel,
+            &mut v_sel,
+        );
+        exact_bytes += exact;
+        compressed_bytes += compressed;
+        merged_pairs += merged;
         let mut out = vec![0.0f32; head_dim];
         attend_into(&k_sel, &v_sel, None, query, &mut weights, &mut out);
         per_step_error.push(relative_error(&full.output, &out) as f64);

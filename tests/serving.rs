@@ -12,7 +12,7 @@ use clusterkv_baselines::QuestFactory;
 use clusterkv_kvcache::stats::PrefetchStats;
 use clusterkv_kvcache::types::{Budget, Bytes};
 use clusterkv_model::policy::SelectorFactory;
-use clusterkv_model::{InferenceEngine, ModelConfig, PrefetchConfig, ServeEngine, SessionId};
+use clusterkv_model::{ModelConfig, PrefetchConfig, ServeEngine, SessionId};
 use common::{thread_env_lock, with_thread_count};
 
 const SEED: u64 = 21;
@@ -39,19 +39,24 @@ fn clusterkv_factory() -> ClusterKvFactory {
     )
 }
 
-/// N sequential single-session runs through the legacy adapter.
+/// One engine per sequence, each serving a single session.
+fn single_session_engine(factory: &dyn SelectorFactory, budget: usize) -> (ServeEngine, SessionId) {
+    let mut engine = ServeEngine::builder(ModelConfig::tiny())
+        .synthetic_weights(SEED)
+        .budget(Budget::new(budget))
+        .build()
+        .unwrap();
+    let id = engine.create_session_with(factory).unwrap();
+    (engine, id)
+}
+
+/// N sequential single-session runs, each on its own engine.
 fn sequential_streams(factory: &dyn SelectorFactory, budget: usize) -> Vec<Vec<usize>> {
     prompts()
         .iter()
         .map(|prompt| {
-            let mut engine = InferenceEngine::with_synthetic_weights(
-                ModelConfig::tiny(),
-                SEED,
-                factory,
-                Budget::new(budget),
-            )
-            .unwrap();
-            engine.generate(prompt, DECODE_STEPS).unwrap()
+            let (mut engine, id) = single_session_engine(factory, budget);
+            engine.generate(id, prompt, DECODE_STEPS).unwrap()
         })
         .collect()
 }
@@ -311,16 +316,9 @@ fn cached_sessions_report_hits_and_reduced_recall_traffic() {
 fn per_session_stats_match_single_session_runs() {
     let factory = clusterkv_factory();
     // Single-session reference stats.
-    let mut single = InferenceEngine::with_synthetic_weights(
-        ModelConfig::tiny(),
-        SEED,
-        &factory,
-        Budget::new(24),
-    )
-    .unwrap();
-    let prompt = &prompts()[0];
-    single.generate(prompt, DECODE_STEPS).unwrap();
-    let reference = single.policy_stats();
+    let (mut single, id) = single_session_engine(&factory, 24);
+    single.generate(id, &prompts()[0], DECODE_STEPS).unwrap();
+    let reference = single.session_stats(id).unwrap();
     assert!(reference.scored_vectors > 0);
 
     // The same sequence decoded in a busy engine accumulates identical
