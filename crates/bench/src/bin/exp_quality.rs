@@ -1,15 +1,17 @@
 //! Experiment E15 — quality vs memory of the compressed KV tier
 //! (DESIGN.md §9).
 //!
-//! Runs ClusterKV, Quest and H2O through the quality lane
-//! ([`clusterkv_workloads::quality`]) across the compression ladder
+//! Runs ClusterKV, Quest and H2O through the quality lane — the harness
+//! decode loop ([`clusterkv_workloads::run_episode_cached`]) over a
+//! zero-capacity cache carrying each rung's compression — across the
+//! compression ladder
 //! (lossless → int8 → int8+merge → int4 → int4+merge) and gates the three
 //! properties the tier promises, rather than assuming them:
 //!
 //! * **Lossless parity** — under the lossless config every method's
-//!   per-step recall/error/selection vectors are *bit-identical* to the
-//!   plain harness: the compressed tier is a pure pass-through when turned
-//!   off.
+//!   per-step recall/error/selection vectors are *bit-identical* to
+//!   [`run_episode`]'s: the compressed tier is a pure pass-through when
+//!   turned off.
 //! * **Memory at bounded quality** — ClusterKV's int4+merge lane reaches at
 //!   least [`RATIO_FLOOR`]x cold-KV memory reduction while its
 //!   compression-aware perplexity stays within [`PPL_DELTA_CEILING`] of the
@@ -25,12 +27,15 @@
 
 use clusterkv::{ClusterKvConfig, ClusterKvFactory};
 use clusterkv_baselines::BaselineKind;
+use clusterkv_kvcache::cluster_cache::{ClusterCache, ClusterCacheConfig};
 use clusterkv_kvcache::compressed::CompressionConfig;
-use clusterkv_kvcache::types::Budget;
+use clusterkv_kvcache::types::{Budget, Bytes};
 use clusterkv_metrics::{fmt, Table};
 use clusterkv_model::policy::{HeadContext, SelectorFactory};
-use clusterkv_workloads::quality::{run_episode_quality, QualityLane, QualityResult};
-use clusterkv_workloads::{run_episode, Episode, EpisodeConfig, LongBenchDataset};
+use clusterkv_workloads::{
+    perplexity_proxy, run_episode, run_episode_cached, Episode, EpisodeConfig, EpisodeResult,
+    LongBenchDataset,
+};
 
 const SEED: u64 = 0xE15;
 /// Gate: ClusterKV's int4+merge lane must shrink cold KV by at least this
@@ -116,21 +121,24 @@ fn ctx(episode: &Episode) -> HeadContext {
     }
 }
 
-fn run_lane(method: &str, episode: &Episode, compression: CompressionConfig) -> QualityResult {
+fn run_lane(method: &str, episode: &Episode, compression: CompressionConfig) -> EpisodeResult {
     let factory = factory(method, compression);
     let mut selector = factory.create(ctx(episode));
-    run_episode_quality(
+    let mut cache = ClusterCache::new(
+        ClusterCacheConfig::new(Bytes(0), episode.config.head_dim).with_compression(compression),
+    );
+    run_episode_cached(
         episode,
         selector.as_mut(),
         Budget::new(budget()),
-        QualityLane::new(compression),
+        &mut cache,
     )
 }
 
 struct MethodFrontier {
     method: &'static str,
     /// One point per ladder rung, in ladder order.
-    points: Vec<(String, QualityResult)>,
+    points: Vec<(String, EpisodeResult)>,
 }
 
 fn emit_json(frontiers: &[MethodFrontier], parity_methods: usize) {
@@ -158,10 +166,10 @@ fn emit_json(frontiers: &[MethodFrontier], parity_methods: usize) {
                 q.compressed_bytes,
                 q.exact_bytes,
                 q.merged_pairs,
-                q.result.mean_recall(),
+                q.mean_recall(),
                 q.mean_reconstruction_error(),
-                q.perplexity(),
-                q.score(&profile),
+                perplexity_proxy(q),
+                profile.score(q),
                 if i + 1 < f.points.len() { "," } else { "" }
             ));
             out.push('\n');
@@ -193,8 +201,8 @@ fn main() {
         );
     }
 
-    // ---- Gate (a): lossless parity — the quality lane under the lossless
-    // config reproduces the plain harness bit for bit, for every method.
+    // ---- Gate (a): lossless parity — the quality lane over a lossless cache
+    // reproduces `run_episode` bit for bit, for every method.
     let mut parity_methods = 0;
     for method in methods {
         let f = factory(method, CompressionConfig::lossless());
@@ -202,15 +210,15 @@ fn main() {
         let baseline = run_episode(&episode, plain.as_mut(), Budget::new(budget()));
         let q = run_lane(method, &episode, CompressionConfig::lossless());
         assert_eq!(
-            q.result.per_step_recall, baseline.per_step_recall,
+            q.per_step_recall, baseline.per_step_recall,
             "{method}: lossless recall diverged from the plain harness"
         );
         assert_eq!(
-            q.result.per_step_error, baseline.per_step_error,
+            q.per_step_error, baseline.per_step_error,
             "{method}: lossless error diverged from the plain harness"
         );
         assert_eq!(
-            q.result.per_step_selected, baseline.per_step_selected,
+            q.per_step_selected, baseline.per_step_selected,
             "{method}: lossless selection diverged from the plain harness"
         );
         assert_eq!(
@@ -264,11 +272,11 @@ fn main() {
                     qa.compressed_bytes
                 );
                 assert!(
-                    qb.perplexity() >= qa.perplexity() - slack,
+                    perplexity_proxy(qb) >= perplexity_proxy(qa) - slack,
                     "{}: {lb} must not beat {la} on perplexity ({} vs {})",
                     f.method,
-                    qb.perplexity(),
-                    qa.perplexity()
+                    perplexity_proxy(qb),
+                    perplexity_proxy(qa)
                 );
             }
         }
@@ -284,13 +292,13 @@ fn main() {
         "ClusterKV int4+merge must reach {RATIO_FLOOR}x cold-KV reduction: {:.3}x",
         best.compression_ratio()
     );
-    let ppl_delta = best.perplexity() - lossless.perplexity();
+    let ppl_delta = perplexity_proxy(best) - perplexity_proxy(lossless);
     assert!(
         ppl_delta <= PPL_DELTA_CEILING,
         "ClusterKV int4+merge perplexity delta {ppl_delta:.4} exceeds \
          {PPL_DELTA_CEILING} (lossless {:.4}, compressed {:.4})",
-        lossless.perplexity(),
-        best.perplexity()
+        perplexity_proxy(lossless),
+        perplexity_proxy(best)
     );
     assert!(
         best.merged_pairs > 0,
@@ -312,10 +320,10 @@ fn main() {
                 table.row(vec![
                     label.clone(),
                     fmt(q.compression_ratio(), 2),
-                    fmt(q.result.mean_recall(), 3),
+                    fmt(q.mean_recall(), 3),
                     fmt(q.mean_reconstruction_error(), 4),
-                    fmt(q.perplexity(), 3),
-                    fmt(q.score(&profile), 2),
+                    fmt(perplexity_proxy(q), 3),
+                    fmt(profile.score(q), 2),
                 ]);
             }
             println!("## {}\n{}", f.method, table.render());

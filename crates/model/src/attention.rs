@@ -11,6 +11,7 @@
 //! [`attend_selected_reference`] for property tests and benches.
 
 use clusterkv_kvcache::compressed::{compress_page, CompressionConfig};
+use clusterkv_kvcache::types::Bytes;
 use clusterkv_kvcache::KvStore;
 use clusterkv_tensor::kernels::{attend_into, attention_weights_into, Workspace};
 use clusterkv_tensor::ops::{attention_weights, weighted_sum};
@@ -124,7 +125,9 @@ pub fn full_attention_weights(store: &KvStore, query: &[f32]) -> Vec<f32> {
 /// Each page is reconstructed over its *full* membership from `store`,
 /// never the selection, so the result depends only on `(compression,
 /// membership, stored KV)`. Returns the pages' exact bytes, compressed
-/// bytes and merged pairs, summed.
+/// bytes and merged pairs, summed. Under a lossless config the
+/// reconstruction is the identity, so the rows are left as they are and
+/// only the (equal) exact and stored bytes are tallied.
 pub fn substitute_compressed<'a>(
     store: &KvStore,
     selected: &[usize],
@@ -133,6 +136,13 @@ pub fn substitute_compressed<'a>(
     keys: &mut Matrix,
     values: &mut Matrix,
 ) -> (u64, u64, u64) {
+    if compression.is_lossless() {
+        let bytes = pages
+            .into_iter()
+            .map(|members| Bytes::of_f16(2 * members.len() * store.head_dim()).get())
+            .sum();
+        return (bytes, bytes, 0);
+    }
     let row_of: BTreeMap<usize, usize> = selected
         .iter()
         .enumerate()
@@ -327,5 +337,28 @@ mod tests {
         );
         let err = attention_output_error(&store, &[1.0, 1.0], &[0, 1]);
         assert!(err < 1e-6);
+    }
+
+    #[test]
+    fn lossless_substitution_is_the_identity_with_compress_page_bytes() {
+        let store = store_with(
+            (0..6).map(|i| vec![i as f32, 1.0 - i as f32]).collect(),
+            (0..6).map(|i| vec![0.5 * i as f32, -1.0]).collect(),
+        );
+        let selected = [4usize, 0, 2, 5];
+        let pages: [&[usize]; 2] = [&[0, 1, 2], &[4, 5]];
+        let mut keys = store.keys().select_rows(&selected);
+        let mut values = store.values().select_rows(&selected);
+        let lossless = CompressionConfig::lossless();
+        let totals =
+            substitute_compressed(&store, &selected, pages, lossless, &mut keys, &mut values);
+        assert_eq!(keys, store.keys().select_rows(&selected));
+        assert_eq!(values, store.values().select_rows(&selected));
+        let page_bytes: u64 = pages
+            .iter()
+            .map(|m| compress_page(store.keys(), store.values(), m, lossless))
+            .map(|p| p.exact_bytes.get())
+            .sum();
+        assert_eq!(totals, (page_bytes, page_bytes, 0));
     }
 }

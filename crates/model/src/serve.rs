@@ -1031,11 +1031,6 @@ impl ServeEngine {
         self.kv_cache_capacity
     }
 
-    /// The engine's speculative-prefetch configuration (DESIGN.md §10).
-    pub fn prefetch_config(&self) -> PrefetchConfig {
-        self.prefetch
-    }
-
     /// Prefetch accounting of a session's staging buffer so far (staged /
     /// used / wasted bytes — all zero with prefetch disabled).
     ///
@@ -1093,15 +1088,6 @@ impl ServeEngine {
     /// uses this to advance its modeled clock.
     pub fn latency_model(&self) -> &LatencyModel {
         &self.model.latency
-    }
-
-    /// Whether a session has finished prefill and is decodable.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::UnknownSession`] if the id is not resident.
-    pub fn is_ready(&self, id: SessionId) -> Result<bool, EngineError> {
-        Ok(self.session(id)?.phase == SessionPhase::Ready)
     }
 
     /// Enable tracing of a specific `(layer, head)` pair of a session. Must

@@ -1,21 +1,26 @@
 //! Runs a selection policy over an [`Episode`] and records the quantities
 //! the accuracy-style experiments need: recall of important tokens, attention
 //! output error, selection sizes and the policy's accumulated cost
-//! statistics (merged from the per-call [`SelectionPlan`]s) — plus the
-//! deterministic open-loop [traffic generator](generate_traffic) the serving
-//! experiments feed into `clusterkv_sched::Scheduler`.
+//! statistics (merged from the per-call [`SelectionPlan`]s). Over a
+//! compressing cache the same loop is the quality lane of the compressed
+//! tier (DESIGN.md §9): it also records reconstruction error and page byte
+//! tallies. The module also hosts the deterministic open-loop
+//! [traffic generator](generate_traffic) the serving experiments feed into
+//! `clusterkv_sched::Scheduler`.
 //!
 //! [`SelectionPlan`]: clusterkv_model::policy::SelectionPlan
 
 use crate::semantic::Episode;
-use clusterkv_kvcache::cluster_cache::ClusterCache;
+use clusterkv_kvcache::cluster_cache::{ClusterCache, ClusterCacheConfig};
 use clusterkv_kvcache::types::{Budget, Bytes, HeadId, LayerId};
 use clusterkv_kvcache::KvStore;
-use clusterkv_model::attention::{attention_output_error, full_attention_weights};
+use clusterkv_model::attention::{attend_full, substitute_compressed};
 use clusterkv_model::policy::{
-    HeadContext, ObserveEvent, PolicyStats, SelectionRequest, SelectorFactory, TokenSelector,
+    HeadContext, KvResidency, ObserveEvent, PolicyStats, SelectionRequest, SelectorFactory,
+    TokenSelector,
 };
-use clusterkv_tensor::vector::top_k_indices;
+use clusterkv_tensor::kernels::attend_into;
+use clusterkv_tensor::vector::{l2_distance, top_k_indices};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -95,7 +100,7 @@ impl ReuseDistanceHistogram {
 }
 
 /// Per-episode measurements of one policy at one budget.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct EpisodeResult {
     /// Policy name.
     pub method: String,
@@ -103,10 +108,23 @@ pub struct EpisodeResult {
     pub budget: usize,
     /// Recall of the true top-`B` tokens at every decoding step.
     pub per_step_recall: Vec<f64>,
-    /// Relative attention-output error at every decoding step.
+    /// Relative attention-output error at every decoding step, measured over
+    /// the compressed-reconstructed selection against exact full attention.
     pub per_step_error: Vec<f64>,
     /// Number of tokens selected at every step.
     pub per_step_selected: Vec<usize>,
+    /// Relative L2 distance between the exact-selected attention output and
+    /// the compressed-reconstruction output at every step — the pure
+    /// compression perturbation, independent of how good the *selection*
+    /// was. Identically zero under a lossless cache.
+    pub per_step_reconstruction_error: Vec<f64>,
+    /// Total f16 bytes the attended pages occupy exact, summed over every
+    /// page of every step.
+    pub exact_bytes: u64,
+    /// Total bytes of the compressed layout for the same pages.
+    pub compressed_bytes: u64,
+    /// Total SLERP-merged pairs across all pages and steps.
+    pub merged_pairs: u64,
     /// Policy statistics accumulated over every selection plan of the run
     /// (selection work, transfers, cache hits).
     pub stats: PolicyStats,
@@ -125,6 +143,22 @@ impl EpisodeResult {
     pub fn mean_error(&self) -> f64 {
         mean(&self.per_step_error)
     }
+
+    /// Mean reconstruction error across steps (`0.0` when empty, never
+    /// `NaN`).
+    pub fn mean_reconstruction_error(&self) -> f64 {
+        mean(&self.per_step_reconstruction_error)
+    }
+
+    /// Cold-KV compression ratio `exact / compressed`; `0.0` when the run
+    /// compressed nothing (never `NaN`).
+    pub fn compression_ratio(&self) -> f64 {
+        if self.compressed_bytes == 0 {
+            0.0
+        } else {
+            self.exact_bytes as f64 / self.compressed_bytes as f64
+        }
+    }
 }
 
 fn mean(v: &[f64]) -> f64 {
@@ -135,35 +169,73 @@ fn mean(v: &[f64]) -> f64 {
     }
 }
 
+/// Tokens per positional block when a plan carries no cluster membership
+/// (Quest's page size in the paper's configuration).
+const BLOCK_TOKENS: usize = 16;
+
+/// Chunk the selected token positions into [`BLOCK_TOKENS`]-sized positional
+/// blocks (ascending) — the page grouping of selectors whose plans carry no
+/// cluster membership.
+fn positional_blocks(selected: &[usize]) -> Vec<Vec<usize>> {
+    let mut sorted = selected.to_vec();
+    sorted.sort_unstable();
+    sorted.chunks(BLOCK_TOKENS).map(<[usize]>::to_vec).collect()
+}
+
+/// Relative L2 error `‖reference − approx‖ / ‖reference‖` (the plain
+/// distance when the reference is zero) — the arithmetic of
+/// [`attention_output_error`](clusterkv_model::attention::attention_output_error).
+fn relative_error(reference: &[f32], approx: &[f32]) -> f64 {
+    let diff = l2_distance(reference, approx);
+    let denom = reference.iter().map(|x| x * x).sum::<f32>().sqrt();
+    f64::from(if denom == 0.0 { diff } else { diff / denom })
+}
+
 /// Run `selector` over `episode` with the given budget, without a GPU
-/// cluster cache: every page a plan requests is charged as a PCIe recall
-/// (the "no cache" / pure-offload configuration of §V-C).
+/// cluster cache and without compression: every page a plan requests is
+/// charged as a PCIe recall (the "no cache" / pure-offload configuration of
+/// §V-C).
 pub fn run_episode(
     episode: &Episode,
     selector: &mut dyn TokenSelector,
     budget: Budget,
 ) -> EpisodeResult {
-    let mut cache = ClusterCache::new(clusterkv_kvcache::cluster_cache::ClusterCacheConfig::new(
-        Bytes(0),
-        episode.config.head_dim,
-    ));
+    let mut cache = ClusterCache::new(ClusterCacheConfig::new(Bytes(0), episode.config.head_dim));
     run_episode_cached(episode, selector, budget, &mut cache)
 }
 
 /// Run `selector` over `episode` with the given budget, resolving each
-/// plan's page requests against `cache` — the single-head analogue of the
-/// serving engine's per-session residency tracking.
+/// plan's page requests against `cache` and attending through its
+/// compression — the single-head analogue of the serving engine's
+/// per-session residency tracking and compressed recall.
 ///
 /// The harness mirrors the engine's decode loop for a single head: the
 /// selector observes the prefill keys (after which never-offloaded pages are
 /// warm-admitted into the cache while capacity allows), then at every step
 /// plans the token set for the query, the plan's pages are looked up in the
-/// cache (misses become transfers), the exact top-`B` set and attention
-/// error are measured against full attention, and the step's generated
-/// key/value are appended to both the store and the selector (so incremental
-/// clustering and recallability across appended tokens are exercised). The
-/// per-call plan statistics and residency outcomes are merged into
+/// cache (misses become transfers), and the step's generated key/value are
+/// appended to both the store and the selector (so incremental clustering
+/// and recallability across appended tokens are exercised). The per-call
+/// plan statistics and residency outcomes are merged into
 /// [`EpisodeResult::stats`].
+///
+/// Each step measures recall of the exact top-`B` tokens, then substitutes
+/// the selected rows with their [`substitute_compressed`] reconstruction
+/// under `cache.compression()` (DESIGN.md §9): a recall-compressed plan
+/// ([`KvResidency::Compressed`]) is grouped by its cluster memberships, any
+/// other plan by 16-token positional blocks of the selection. The error is
+/// measured over the substituted rows against exact full attention, the
+/// reconstruction error against the exact selected rows. Capacity and
+/// compression are independent: capacity moves only the cache accounting.
+/// Under a lossless cache every substitution is the identity, so the error
+/// equals [`attention_output_error`] over the selection bit for bit.
+///
+/// For ClusterKV to exercise the cluster-grouped path, build the selector
+/// with the *same* compression config in its `ClusterKvConfig`; a
+/// lossless-configured selector emits recall-exact plans, which are grouped
+/// positionally.
+///
+/// [`attention_output_error`]: clusterkv_model::attention::attention_output_error
 pub fn run_episode_cached(
     episode: &Episode,
     selector: &mut dyn TokenSelector,
@@ -172,6 +244,7 @@ pub fn run_episode_cached(
 ) -> EpisodeResult {
     const HARNESS_HEAD: (LayerId, HeadId) = (LayerId(0), HeadId(0));
     let head_dim = episode.config.head_dim;
+    let compression = cache.compression();
     let mut store = KvStore::new(head_dim);
     store.append_batch(&episode.keys, &episode.values);
     selector.observe(ObserveEvent::Prefill {
@@ -189,50 +262,83 @@ pub fn run_episode_cached(
     };
     warm(selector, cache);
 
-    let mut per_step_recall = Vec::with_capacity(episode.decode_steps());
-    let mut per_step_error = Vec::with_capacity(episode.decode_steps());
-    let mut per_step_selected = Vec::with_capacity(episode.decode_steps());
-    let mut stats = PolicyStats::default();
-    let mut reuse = ReuseDistanceHistogram::default();
+    let steps = episode.decode_steps();
+    let mut r = EpisodeResult {
+        method: selector.name().to_string(),
+        budget: budget.tokens(),
+        per_step_recall: Vec::with_capacity(steps),
+        per_step_error: Vec::with_capacity(steps),
+        per_step_selected: Vec::with_capacity(steps),
+        per_step_reconstruction_error: Vec::with_capacity(steps),
+        ..Default::default()
+    };
     // LRU stack for the reuse-distance measurement: most recently requested
     // page last; an access's stack distance is how deep it sits from the top.
     let mut lru_stack: Vec<usize> = Vec::new();
 
-    for step in 0..episode.decode_steps() {
+    for step in 0..steps {
         let query = &episode.queries[step];
         let n = store.len();
         let plan = selector.plan(SelectionRequest::new(query, n, budget));
-        stats.merge(&plan.stats);
+        r.stats.merge(&plan.stats);
         if let Some(pages) = plan.residency.page_requests() {
             for request in &pages {
                 match lru_stack.iter().rposition(|&p| p == request.page) {
                     Some(pos) => {
-                        reuse.record(Some(lru_stack.len() - 1 - pos));
+                        r.reuse.record(Some(lru_stack.len() - 1 - pos));
                         lru_stack.remove(pos);
                     }
-                    None => reuse.record(None),
+                    None => r.reuse.record(None),
                 }
                 lru_stack.push(request.page);
             }
             let outcome = cache.access(HARNESS_HEAD.0, HARNESS_HEAD.1, &pages);
-            stats.charge_recall(&outcome);
+            r.stats.charge_recall(&outcome);
         }
+        let groups: Vec<Vec<usize>> = match &plan.residency {
+            KvResidency::Compressed(pages) => pages.iter().map(|p| p.members.clone()).collect(),
+            _ => positional_blocks(&plan.indices),
+        };
         let selected = plan.indices;
-        per_step_selected.push(selected.len());
+        r.per_step_selected.push(selected.len());
 
         // Ground truth: the B tokens with the largest exact attention weights.
-        let full = full_attention_weights(&store, query);
-        let truth: BTreeSet<usize> = top_k_indices(&full, budget.tokens().min(n))
+        let full = attend_full(&store, query);
+        let truth: BTreeSet<usize> = top_k_indices(&full.weights, budget.tokens().min(n))
             .into_iter()
             .collect();
         let selected_set: BTreeSet<usize> = selected.iter().copied().collect();
         let hit = truth.intersection(&selected_set).count();
-        per_step_recall.push(if truth.is_empty() {
+        r.per_step_recall.push(if truth.is_empty() {
             1.0
         } else {
             hit as f64 / truth.len() as f64
         });
-        per_step_error.push(attention_output_error(&store, query, &selected) as f64);
+
+        // Attend over the exact selected rows, then over the same rows with
+        // each page's reconstruction (over its full membership, the
+        // order-free engine invariant) substituted in.
+        let mut k_sel = store.keys().select_rows(&selected);
+        let mut v_sel = store.values().select_rows(&selected);
+        let mut weights = Vec::with_capacity(selected.len());
+        let mut exact = vec![0.0f32; head_dim];
+        attend_into(&k_sel, &v_sel, None, query, &mut weights, &mut exact);
+        let (exact_bytes, compressed_bytes, merged_pairs) = substitute_compressed(
+            &store,
+            &selected,
+            groups.iter().map(Vec::as_slice),
+            compression,
+            &mut k_sel,
+            &mut v_sel,
+        );
+        r.exact_bytes += exact_bytes;
+        r.compressed_bytes += compressed_bytes;
+        r.merged_pairs += merged_pairs;
+        let mut out = vec![0.0f32; head_dim];
+        attend_into(&k_sel, &v_sel, None, query, &mut weights, &mut out);
+        r.per_step_error.push(relative_error(&full.output, &out));
+        r.per_step_reconstruction_error
+            .push(relative_error(&exact, &out));
 
         // Append the generated token and let the policy observe it; KV of
         // freshly clustered pages stays resident while capacity allows.
@@ -244,16 +350,7 @@ pub fn run_episode_cached(
         });
         warm(selector, cache);
     }
-
-    EpisodeResult {
-        method: selector.name().to_string(),
-        budget: budget.tokens(),
-        per_step_recall,
-        per_step_error,
-        per_step_selected,
-        stats,
-        reuse,
-    }
+    r
 }
 
 /// Configuration of the open-loop traffic generator.
@@ -466,7 +563,8 @@ mod tests {
     use super::*;
     use crate::semantic::EpisodeConfig;
     use clusterkv::{ClusterKvConfig, ClusterKvFactory};
-    use clusterkv_model::policy::{FullAttentionSelector, OracleTopKSelector};
+    use clusterkv_kvcache::compressed::CompressionConfig;
+    use clusterkv_model::policy::{FullAttentionSelector, OracleTopKSelector, SelectionPlan};
 
     fn episode() -> Episode {
         Episode::generate(EpisodeConfig {
@@ -699,18 +797,200 @@ mod tests {
 
     #[test]
     fn mean_of_empty_result_is_zero() {
-        let r = EpisodeResult {
-            method: "x".into(),
-            budget: 8,
-            per_step_recall: vec![],
-            per_step_error: vec![],
-            per_step_selected: vec![],
-            stats: PolicyStats::default(),
-            reuse: ReuseDistanceHistogram::default(),
-        };
+        let r = EpisodeResult::default();
         assert_eq!(r.mean_recall(), 0.0);
         assert_eq!(r.mean_error(), 0.0);
         assert_eq!(r.reuse.hit_fraction_within(64), 0.0, "empty, not NaN");
+    }
+
+    #[test]
+    fn empty_run_reports_zero_ratio_not_nan() {
+        let r = EpisodeResult::default();
+        assert_eq!(r.compression_ratio(), 0.0);
+        assert!(!r.compression_ratio().is_nan());
+        assert_eq!(r.mean_reconstruction_error(), 0.0);
+    }
+
+    fn ctx() -> HeadContext {
+        HeadContext {
+            layer: 2,
+            head: 0,
+            head_dim: 32,
+        }
+    }
+
+    fn clusterkv_factory(compression: CompressionConfig) -> ClusterKvFactory {
+        ClusterKvFactory::new(
+            ClusterKvConfig::default()
+                .with_sink_tokens(8)
+                .with_tokens_per_cluster(16)
+                .with_compression(compression),
+        )
+    }
+
+    /// ClusterKV configured with `compression`, run over a zero-capacity
+    /// cache with the same compression.
+    fn run_compressed(e: &Episode, compression: CompressionConfig) -> EpisodeResult {
+        let mut sel = clusterkv_factory(compression).create(ctx());
+        let mut cache =
+            ClusterCache::new(ClusterCacheConfig::new(Bytes(0), 32).with_compression(compression));
+        run_episode_cached(e, sel.as_mut(), Budget::new(32), &mut cache)
+    }
+
+    /// Forwards to `inner` and records the indices of every plan.
+    struct Recording {
+        inner: Box<dyn TokenSelector>,
+        plans: Vec<Vec<usize>>,
+    }
+
+    impl TokenSelector for Recording {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn observe(&mut self, event: ObserveEvent<'_>) {
+            self.inner.observe(event);
+        }
+        fn plan(&mut self, request: SelectionRequest<'_>) -> SelectionPlan {
+            let plan = self.inner.plan(request);
+            self.plans.push(plan.indices.clone());
+            plan
+        }
+        fn page_table(&self) -> KvResidency {
+            self.inner.page_table()
+        }
+    }
+
+    /// Runs `inner` under the lossless default, then replays its recorded
+    /// selections through a fresh store and checks every step's error
+    /// against `attention_output_error` bit for bit.
+    fn run_lossless_against_reference(e: &Episode, inner: Box<dyn TokenSelector>) -> EpisodeResult {
+        use clusterkv_model::attention::attention_output_error;
+        let mut rec = Recording {
+            inner,
+            plans: Vec::new(),
+        };
+        let r = run_episode(e, &mut rec, Budget::new(32));
+        assert_eq!(rec.plans.len(), e.decode_steps());
+        let mut store = KvStore::new(32);
+        store.append_batch(&e.keys, &e.values);
+        for (step, indices) in rec.plans.iter().enumerate() {
+            let reference = attention_output_error(&store, &e.queries[step], indices);
+            assert_eq!(
+                r.per_step_error[step].to_bits(),
+                f64::from(reference).to_bits(),
+                "{} step {step}",
+                r.method
+            );
+            store.append(&e.decode_keys[step], &e.decode_values[step]);
+        }
+        assert_eq!(r.compressed_bytes, r.exact_bytes, "lossless is byte-equal");
+        assert_eq!(r.merged_pairs, 0);
+        assert_eq!(r.compression_ratio(), 1.0);
+        assert!(r.per_step_reconstruction_error.iter().all(|&x| x == 0.0));
+        r
+    }
+
+    #[test]
+    fn lossless_error_matches_attention_output_error_for_clusterkv() {
+        let e = episode();
+        let sel = clusterkv_factory(CompressionConfig::lossless()).create(ctx());
+        run_lossless_against_reference(&e, sel);
+    }
+
+    #[test]
+    fn lossless_error_matches_attention_output_error_for_resident_selectors() {
+        let e = episode();
+        let r = run_lossless_against_reference(&e, Box::new(FullAttentionSelector));
+        assert!(r.mean_error() < 1e-5, "full attention stays exact");
+    }
+
+    #[test]
+    fn capacity_and_compression_are_independent() {
+        let e = episode();
+        let int8 = CompressionConfig::int8();
+        let uncached = run_compressed(&e, int8);
+        let mut sel = clusterkv_factory(int8).create(ctx());
+        let mut cache = ClusterCache::new(
+            ClusterCacheConfig::for_recency_window(4, 32, 32).with_compression(int8),
+        );
+        let cached = run_episode_cached(&e, sel.as_mut(), Budget::new(32), &mut cache);
+        assert_eq!(cached.per_step_selected, uncached.per_step_selected);
+        assert_eq!(cached.per_step_recall, uncached.per_step_recall);
+        assert_eq!(cached.per_step_error, uncached.per_step_error);
+        assert_eq!(
+            cached.per_step_reconstruction_error,
+            uncached.per_step_reconstruction_error
+        );
+        assert!(uncached.mean_reconstruction_error() > 0.0);
+        assert_eq!(cached.exact_bytes, uncached.exact_bytes);
+        assert_eq!(cached.compressed_bytes, uncached.compressed_bytes);
+        assert_eq!(cached.merged_pairs, uncached.merged_pairs);
+        assert_eq!(uncached.stats.cache.hits, 0);
+        assert!(cached.stats.cache.hits > 0);
+    }
+
+    #[test]
+    fn quantization_shrinks_bytes_without_changing_selection() {
+        let e = episode();
+        let lossless = run_compressed(&e, CompressionConfig::lossless());
+        let int8 = run_compressed(&e, CompressionConfig::int8());
+        let int4 = run_compressed(&e, CompressionConfig::int4());
+        // Selection is independent of the compression.
+        assert_eq!(int8.per_step_recall, lossless.per_step_recall);
+        assert_eq!(int8.per_step_selected, lossless.per_step_selected);
+        // The byte ladder is strictly monotone; error stays bounded.
+        assert!(int8.compressed_bytes < lossless.compressed_bytes);
+        assert!(int4.compressed_bytes < int8.compressed_bytes);
+        assert!(
+            int8.compression_ratio() > 1.8,
+            "{}",
+            int8.compression_ratio()
+        );
+        assert!(
+            int4.compression_ratio() > 3.5,
+            "{}",
+            int4.compression_ratio()
+        );
+        assert!(
+            (int8.mean_error() - lossless.mean_error()).abs() < 0.05,
+            "int8 error {} vs lossless {}",
+            int8.mean_error(),
+            lossless.mean_error()
+        );
+        // Reconstruction error isolates the quantization perturbation:
+        // zero lossless, growing with grid coarseness — which makes the
+        // perplexity ladder monotone even when the (selection-dominated)
+        // full-attention error wobbles.
+        assert_eq!(lossless.mean_reconstruction_error(), 0.0);
+        assert!(int8.mean_reconstruction_error() > 0.0);
+        assert!(int4.mean_reconstruction_error() > int8.mean_reconstruction_error());
+        let ppl = crate::language_modeling::perplexity_proxy;
+        assert!(ppl(&int8) > ppl(&lossless));
+        assert!(ppl(&int4) > ppl(&int8));
+    }
+
+    #[test]
+    fn lossy_clusterkv_plans_group_pages_by_cluster() {
+        let e = episode();
+        let q = run_compressed(&e, CompressionConfig::int8().with_merge_threshold(0.2));
+        // Cluster-grouped pages cover full memberships, so the exact bytes
+        // exceed what the selected tokens alone would occupy, and merging
+        // finds similar intra-cluster neighbours.
+        assert!(q.compression_ratio() > 2.0, "{}", q.compression_ratio());
+        assert!(q.merged_pairs > 0, "semantic clusters must yield merges");
+        assert!(q.mean_recall() > 0.5);
+    }
+
+    #[test]
+    fn positional_blocks_partition_the_selection() {
+        let selected: Vec<usize> = (0..40).rev().map(|i| i * 3).collect();
+        let blocks = positional_blocks(&selected);
+        assert_eq!(
+            blocks.iter().map(Vec::len).collect::<Vec<_>>(),
+            vec![16, 16, 8]
+        );
+        let flat: Vec<usize> = blocks.into_iter().flatten().collect();
+        assert_eq!(flat, (0..40).map(|i| i * 3).collect::<Vec<_>>());
     }
 
     #[test]

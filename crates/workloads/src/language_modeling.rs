@@ -8,11 +8,12 @@
 //! synthetic episode of the same length: `ppl = base · exp(k · (1 − recall))`.
 //! Full attention (recall 1) reproduces the base perplexity; methods that
 //! miss more of the important tokens are pushed exponentially higher, which
-//! preserves the ordering and the deviation structure of Fig. 10.
+//! preserves the ordering and the deviation structure of Fig. 10. A run over
+//! a compressing cache additionally pays for its mean reconstruction error
+//! (DESIGN.md §9); a lossless run has none, so the two cases share one
+//! anchor.
 
 use crate::harness::EpisodeResult;
-use serde::{Deserialize, Serialize};
-
 /// Base perplexity of the (synthetic) language model with full attention,
 /// chosen to match the level of Fig. 10.
 pub const BASE_PERPLEXITY: f64 = 10.2;
@@ -20,16 +21,16 @@ pub const BASE_PERPLEXITY: f64 = 10.2;
 /// Sensitivity of the proxy to missed important tokens.
 pub const ERROR_SENSITIVITY: f64 = 1.0;
 
-/// One point of the perplexity-vs-input-length curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PerplexityPoint {
-    /// Input (context) length in tokens.
-    pub input_len: usize,
-    /// Proxy perplexity.
-    pub perplexity: f64,
-}
+/// Weight of the mean reconstruction error in [`perplexity_proxy`].
+/// Selection misses (recall) and reconstruction error (quantization /
+/// merging) degrade generation quality through the same attention outputs,
+/// but a bounded relative output error perturbs logits less than dropping a
+/// top-`B` token outright, so it enters at half the recall sensitivity.
+pub const OUTPUT_ERROR_SENSITIVITY: f64 = 0.5;
 
-/// Convert a measured episode result into a proxy perplexity.
+/// Convert a measured episode result into a proxy perplexity:
+/// `base · exp(k · (1 − recall) + k_out · recon)`, where `recon` is the
+/// run's mean reconstruction error (zero for a lossless run).
 ///
 /// # Examples
 ///
@@ -43,14 +44,14 @@ pub struct PerplexityPoint {
 ///     per_step_recall: vec![1.0],
 ///     per_step_error: vec![0.0],
 ///     per_step_selected: vec![1024],
-///     stats: Default::default(),
-///     reuse: Default::default(),
+///     ..Default::default()
 /// };
 /// assert!((perplexity_proxy(&perfect) - BASE_PERPLEXITY).abs() < 1e-9);
 /// ```
 pub fn perplexity_proxy(result: &EpisodeResult) -> f64 {
     let missed = (1.0 - result.mean_recall()).clamp(0.0, 1.0);
-    BASE_PERPLEXITY * (ERROR_SENSITIVITY * missed).exp()
+    let recon = result.mean_reconstruction_error().clamp(0.0, 1.0);
+    BASE_PERPLEXITY * (ERROR_SENSITIVITY * missed + OUTPUT_ERROR_SENSITIVITY * recon).exp()
 }
 
 #[cfg(test)]
@@ -64,8 +65,7 @@ mod tests {
             per_step_recall: vec![recall; 3],
             per_step_error: vec![0.1; 3],
             per_step_selected: vec![1024; 3],
-            stats: clusterkv_model::policy::PolicyStats::default(),
-            reuse: Default::default(),
+            ..Default::default()
         }
     }
 
@@ -96,13 +96,23 @@ mod tests {
     }
 
     #[test]
-    fn point_carries_its_fields() {
-        let p = PerplexityPoint {
-            input_len: 1000,
-            perplexity: 10.5,
+    fn reconstruction_error_is_charged_gently_and_anchored() {
+        let with_recon = |recall: f64, recon: f64| EpisodeResult {
+            per_step_reconstruction_error: vec![recon; 3],
+            ..result(recall)
         };
-        assert_eq!(p.input_len, 1000);
-        assert!((p.perplexity - 10.5).abs() < 1e-12);
-        assert_eq!(p, p.clone());
+        let exact = perplexity_proxy(&with_recon(1.0, 0.0));
+        assert!((exact - BASE_PERPLEXITY).abs() < 1e-12);
+        // Zero reconstruction error reduces bit-exactly to the recall-only
+        // proxy.
+        let r = with_recon(0.7, 0.0);
+        assert_eq!(
+            perplexity_proxy(&r),
+            BASE_PERPLEXITY * (ERROR_SENSITIVITY * (1.0 - r.mean_recall())).exp()
+        );
+        assert!(perplexity_proxy(&with_recon(1.0, 0.1)) > exact);
+        assert!(perplexity_proxy(&with_recon(0.9, 0.1)) > perplexity_proxy(&with_recon(0.9, 0.0)));
+        // The reconstruction channel is gentler than the recall channel.
+        assert!(perplexity_proxy(&with_recon(0.8, 0.0)) > perplexity_proxy(&with_recon(1.0, 0.2)));
     }
 }

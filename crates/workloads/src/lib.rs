@@ -12,35 +12,31 @@
 //!   queries whose topical focus drifts across decoding steps (the dynamic
 //!   importance of Fig. 3a).
 //! * [`harness`] — runs any [`TokenSelector`](clusterkv_model::TokenSelector)
-//!   over an episode and records recall rates, attention-output errors and
-//!   selected sets; every accuracy-style figure is built on this harness. It
-//!   also hosts [`generate_traffic`], the deterministic open-loop request
-//!   trace generator the serving experiments feed into
+//!   over an episode and records recall rates, attention-output errors,
+//!   selected sets and, through a compressing
+//!   [`ClusterCache`](clusterkv_kvcache::cluster_cache::ClusterCache), the
+//!   reconstruction error and byte tallies of the compressed KV tier
+//!   (DESIGN.md §9); every accuracy-style figure and `exp_quality`'s
+//!   quality-vs-memory frontier are built on this one decode loop. It also
+//!   hosts [`generate_traffic`], the deterministic open-loop request trace
+//!   generator the serving experiments feed into
 //!   `clusterkv_sched::Scheduler`.
 //! * [`longbench`] — the eight LongBench dataset profiles and the mapping
 //!   from measured retrieval quality to an F1 / ROUGE-L-style score.
 //! * [`language_modeling`] — the PG19 perplexity proxy: perplexity as a
-//!   monotone function of attention-approximation error.
-//! * [`quality`] — the quality-vs-memory lane of the compressed KV tier
-//!   (DESIGN.md §9): the same decode loop attending over
-//!   compressed-reconstructed cold pages, yielding accuracy-vs-memory
-//!   frontier points for `exp_quality`.
+//!   monotone function of missed recall and reconstruction error.
 
 #![warn(missing_docs)]
 
 pub mod harness;
 pub mod language_modeling;
 pub mod longbench;
-pub mod quality;
 pub mod semantic;
 
 pub use harness::{
     generate_traffic, run_budget_sweep, run_episode, run_episode_cached, EpisodeResult,
     ReuseDistanceHistogram, TrafficConfig,
 };
-pub use language_modeling::{perplexity_proxy, PerplexityPoint};
+pub use language_modeling::perplexity_proxy;
 pub use longbench::{LongBenchDataset, LongBenchProfile, ScoreMetric};
-pub use quality::{
-    quality_perplexity, quality_score, run_episode_quality, QualityLane, QualityResult,
-};
 pub use semantic::{Episode, EpisodeConfig};

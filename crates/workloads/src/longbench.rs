@@ -146,17 +146,14 @@ impl LongBenchProfile {
     /// Map measured attention fidelity to a dataset score.
     ///
     /// Fidelity is the mean recall of the truly important (top-`B`) tokens —
-    /// the same quantity the paper's Fig. 11 measures — and the score
-    /// interpolates between the floor and the Full-KV score. Full attention
-    /// (recall 1) maps exactly to `full_kv_score`.
+    /// the same quantity the paper's Fig. 11 measures — attenuated by the
+    /// run's mean reconstruction error (zero for a lossless run), and the
+    /// score interpolates between the floor and the Full-KV score. Full
+    /// attention (recall 1) maps exactly to `full_kv_score`.
     pub fn score(&self, result: &EpisodeResult) -> f64 {
-        let fidelity = self.fidelity(result);
+        let recon = result.mean_reconstruction_error().clamp(0.0, 1.0);
+        let fidelity = (result.mean_recall() * (1.0 - recon)).clamp(0.0, 1.0);
         self.floor_score + (self.full_kv_score - self.floor_score) * fidelity
-    }
-
-    /// Attention fidelity in `[0, 1]` derived from an episode result.
-    pub fn fidelity(&self, result: &EpisodeResult) -> f64 {
-        result.mean_recall().clamp(0.0, 1.0)
     }
 }
 
@@ -171,8 +168,7 @@ mod tests {
             per_step_recall: vec![recall; 4],
             per_step_error: vec![error; 4],
             per_step_selected: vec![256; 4],
-            stats: clusterkv_model::policy::PolicyStats::default(),
-            reuse: Default::default(),
+            ..Default::default()
         }
     }
 
@@ -226,5 +222,24 @@ mod tests {
             .map(|d| d.profile().episode.seed)
             .collect();
         assert_eq!(seeds.len(), 8);
+    }
+
+    #[test]
+    fn reconstruction_error_attenuates_fidelity() {
+        let p = LongBenchDataset::TwoWikiMqa.profile();
+        let mk = |recall: f64, recon: f64| EpisodeResult {
+            per_step_reconstruction_error: vec![recon; 4],
+            ..result(recall, 0.0)
+        };
+        assert!((p.score(&mk(1.0, 0.0)) - p.full_kv_score).abs() < 1e-9);
+        assert!((p.score(&mk(0.0, 1.0)) - p.floor_score).abs() < 1e-9);
+        assert!(p.score(&mk(1.0, 0.2)) < p.full_kv_score);
+        assert!(p.score(&mk(1.0, 0.2)) > p.score(&mk(0.5, 0.2)));
+        // Exact reconstruction leaves the recall-only score bit for bit.
+        let r = result(0.7, 0.1);
+        assert_eq!(
+            p.score(&mk(0.7, 0.0)),
+            p.floor_score + (p.full_kv_score - p.floor_score) * r.mean_recall()
+        );
     }
 }
